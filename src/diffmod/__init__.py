@@ -8,13 +8,13 @@ from .errors import (DiffmodError, DomainError, ManifestError,
                      StructuralError, UnsupportedInputError,
                      WitnessSearchError)
 from .orders import (ModuleOrder, MonomialOrder, block_order, elim_order,
-                     grevlex_order, lex_order, mono_cmp, pot_order, top_order)
+                     grevlex_order, lex_order, mono_cmp, top_order)
 from .poly import (PolyVec, Polynomial, Ring, linear_change_of_vars,
                    mat_det, mat_inverse)
 from .groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
-                       colon, critical_l, eliminate, full_module, ideal,
-                       intersect, member, module_equal, normal_form,
-                       poly_exact_div, saturate, solution_module,
-                       solve_inhomogeneous, syzygy_module)
+                       critical_l, eliminate, full_module, ideal, intersect,
+                       member, module_equal, normal_form, poly_exact_div,
+                       saturate, solution_module, solve_inhomogeneous,
+                       syzygy_module)
 
 __version__ = "0.1.0"

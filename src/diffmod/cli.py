@@ -272,8 +272,10 @@ def build_parser():
         description="Exact polynomial algebra for differential-operator modules.")
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("manifest", help="manifest file, or - for stdin")
-    ap.add_argument("--order", default=None, help="override [ring] order (unused: "
-                    "orders come from the manifest)")
+    ap.add_argument("--order", default=None,
+                    help="override the [ring] order: lex, grevlex or block:K; gb and "
+                    "nf compute under it, the other commands except vanish and "
+                    "mclosure print under it")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=int, default=20000)
     ap.add_argument("--width", default=None, help="refine root intervals below this width")

@@ -10,8 +10,10 @@ every reduction result by its content.
 
 Higher-level operations: syzygies and inhomogeneous solving (solution
 modules of linear systems over the ring), intersection by the tag
-variable, saturation by iterated colon, elimination, module equality,
-and the critical-exponent search for chains M_0 <= M_1 <= ...
+variable, elimination, module equality, and the critical exponent of
+chains M_0 <= M_1 <= ...  The critical exponent and saturation share
+one primitive: a single Groebner basis over Q[x, t] with the
+Rabinowitsch generators (t*Delta - 1) e_i, eliminating t.
 """
 
 from __future__ import annotations
@@ -423,39 +425,44 @@ def solve_inhomogeneous(system):
     return p
 
 
-def _lift_basis(basis, ring2, extra=0):
-    mapping = {i: i for i in range(basis.ring.nvars)}
-    return [PolyVec([p.lift(ring2, mapping) for p in g.comps]) for g in basis.gens]
+def _with_tag(mv, power=0):
+    """mv over Q[x] as an mvec over Q[x, t], t a new last variable, times t^power."""
+    return {(i, m + (power,)): c for (i, m), c in mv.items()}
+
+
+def _eliminate_tag(mvs, ring, j, comp_elim=0):
+    """Vectors of ring^j in the submodule that `mvs` generate over Q[x, t].
+
+    `mvs` live in comp_elim + j components over the ring extended by a
+    last variable t.  One Groebner basis under an order eliminating t
+    and the first comp_elim components; its elements free of both,
+    shifted down, are the reduced top-grevlex basis of the elimination
+    module.
+    """
+    tidx = ring.nvars
+    morder = ModuleOrder(elim_order([tidx]), "top", comp_elim=comp_elim)
+    out = []
+    for g in _buchberger_core(mvs, morder):
+        if any(i < comp_elim or m[tidx] for (i, m) in g.mv):
+            continue
+        down = {(i - comp_elim, m[:tidx]): c for (i, m), c in g.mv.items()}
+        out.append(mvec_to_vec(ring, j, down))
+    return out
 
 
 def intersect(m1, m2):
     """Generators of M1 ∩ M2 via the tag-variable trick t*M1 + (1-t)*M2."""
     if m1.j != m2.j or m1.ring != m2.ring:
         raise StructuralError("incomparable modules")
-    ring = m1.ring
     if not m1.gens or not m2.gens:
-        return SubmoduleBasis(ring, m1.j, [])
-    tname = "_t"
-    while tname in ring.names:
-        tname += "t"
-    ring2 = ring.extend([tname], "x")
-    tidx = ring2.nvars - 1
-    t = Polynomial.variable(ring2, tidx)
-    one = Polynomial.one(ring2)
-    gens = []
-    for g in _lift_basis(m1, ring2):
-        gens.append(g.scale(t))
-    for g in _lift_basis(m2, ring2):
-        gens.append(g.scale(one - t))
-    morder = ModuleOrder(elim_order([tidx]), "top")
-    basis = _buchberger_core([vec_to_mvec(g) for g in gens], morder)
-    out = []
-    for g in basis:
-        if any(m[tidx] for (_, m) in g.mv):
-            continue
-        down = {(i, m[:-1]): c for (i, m), c in g.mv.items()}
-        out.append(mvec_to_vec(ring, m1.j, down))
-    return SubmoduleBasis(ring, m1.j, out)
+        return SubmoduleBasis(m1.ring, m1.j, [])
+    mvs = [_with_tag(vec_to_mvec(g), 1) for g in m1.gens]
+    for g in m2.gens:
+        mv = vec_to_mvec(g)
+        tagged = _with_tag(mv)
+        tagged.update({k: -c for k, c in _with_tag(mv, 1).items()})
+        mvs.append(tagged)
+    return SubmoduleBasis(m1.ring, m1.j, _eliminate_tag(mvs, m1.ring, m1.j))
 
 
 def eliminate(basis, drop):
@@ -491,36 +498,29 @@ def poly_exact_div(p, f):
     return q
 
 
-def colon(basis, f):
-    """The quotient module M : f = {g : f*g in M}."""
-    if f.is_zero():
-        raise DomainError("colon by zero")
-    ring = basis.ring
-    fmod = SubmoduleBasis(ring, basis.j,
-                          [PolyVec.unit(ring, basis.j, k).scale(f) for k in range(basis.j)])
-    inter = intersect(basis, fmod)
-    gens = [PolyVec([poly_exact_div(p, f) for p in g.comps]) for g in inter.gens]
-    return SubmoduleBasis(ring, basis.j, gens)
-
-
 def saturate(basis, f):
-    """M : f^infinity by iterated colon, stopping at the first stable step."""
-    if f.is_zero():
-        raise DomainError("saturation by zero")
-    cur = basis
-    while True:
-        nxt = colon(cur, f)
-        if module_equal(cur, nxt):
-            return cur
-        cur = nxt
+    """M : f^infinity = {g : f^l * g in M for some l}, as the module M_inf
+    of critical_l with A the generators of M, B the identity, Delta = f."""
+    ring = basis.ring
+    j = basis.j
+    a_matrix = [[g[i] for g in basis.gens] for i in range(j)]
+    identity = [[Polynomial.one(ring) if i == k else Polynomial.zero(ring)
+                 for k in range(j)] for i in range(j)]
+    return critical_l(a_matrix, identity, f)[1]
 
 
 def critical_l(a_matrix, b_matrix, delta):
-    """Stabilization index of M_l = {P : Delta^l * B P in column-module(A)}.
+    """Critical exponent of the chain M_l = {P : Delta^l * B P in col(A)}.
 
-    Tests l = 0, 1, 2, ... and returns (l0, basis of M_l0) for the first
-    l0 with M_l0 = M_l0+1; the chain is ascending so all later modules
-    agree with M_l0.
+    The chain ascends to M_inf = {P : Delta^l * B P in col(A) for some l}.
+    M_inf comes from one Groebner basis over Q[x, t] of (B_k, e_k),
+    (A_j, 0) and ((t*Delta - 1) e_i, 0), under an order eliminating the
+    row components and t (the Rabinowitsch trick): its elements free of
+    both are the reduced basis of M_inf.  For each of them the least l
+    with Delta^l * B g in col(A) is read off by normal forms against one
+    basis of col(A); l0 is the largest.  As M_l = M_l+1 forces
+    M_l+1 = M_l+2, l0 is the first index where the chain stops growing.
+    Returns (l0, basis of M_l0).
     """
     if delta.is_zero():
         raise DomainError("Delta must be nonzero")
@@ -529,30 +529,38 @@ def critical_l(a_matrix, b_matrix, delta):
     ring = delta.ring
     rows = len(b_matrix)
     kk = len(b_matrix[0])
-    jj = len(a_matrix[0]) if a_matrix and a_matrix[0] else 0
     if a_matrix and len(a_matrix) != rows:
         raise StructuralError("A/B row mismatch")
 
-    def module_for(l):
-        dl = delta ** l
-        cols = []
-        for k in range(kk):
-            cols.append(PolyVec([b_matrix[i][k] * dl for i in range(rows)]))
-        for j in range(jj):
-            cols.append(PolyVec([a_matrix[i][j] for i in range(rows)]))
-        syz = syzygy_module(cols)
-        gens = []
-        for s in syz.gens:
-            head = PolyVec(s.comps[:kk])
-            if not head.is_zero():
-                gens.append(head)
-        return SubmoduleBasis(ring, kk, gens)
+    b_cols = [vec_to_mvec(PolyVec(list(col))) for col in zip(*b_matrix)]
+    a_cols = [vec_to_mvec(PolyVec(list(col))) for col in zip(*a_matrix)]
+    zero = (0,) * (ring.nvars + 1)
+    mvs = []
+    for k, col in enumerate(b_cols):
+        mv = _with_tag(col)
+        mv[(rows + k, zero)] = Fraction(1)
+        mvs.append(mv)
+    mvs += [_with_tag(col) for col in a_cols]
+    rab = {m + (1,): c for m, c in delta.terms.items()}
+    rab[zero] = Fraction(-1)
+    mvs += [{(i, m): c for m, c in rab.items()} for i in range(rows)]
+    gens = _eliminate_tag(mvs, ring, kk, comp_elim=rows)
 
-    l = 0
-    cur = module_for(0)
-    while True:
-        nxt = module_for(l + 1)
-        if module_equal(cur, nxt):
-            return l, cur
-        cur = nxt
-        l += 1
+    morder = top_order()
+    col_a = _buchberger_core(a_cols, morder)
+    l0 = 0
+    for g in gens:
+        bg = {}
+        for k, col in enumerate(b_cols):
+            for m, c in g[k].terms.items():
+                _mv_axpy(bg, -c, m, col)
+        rem, _ = _reduce(bg, col_a, morder)
+        l = 0
+        while rem:
+            nxt = {}
+            for m, c in delta.terms.items():
+                _mv_axpy(nxt, -c, m, rem)
+            rem, _ = _reduce(nxt, col_a, morder)
+            l += 1
+        l0 = max(l0, l)
+    return l0, SubmoduleBasis(ring, kk, gens, is_groebner=True)

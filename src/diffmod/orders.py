@@ -123,7 +123,3 @@ class ModuleOrder:
 
 def top_order(mono_order=None):
     return ModuleOrder(mono_order or grevlex_order(), "top")
-
-
-def pot_order(mono_order=None):
-    return ModuleOrder(mono_order or grevlex_order(), "pot")

@@ -43,9 +43,6 @@ class ModuleResult:
     basis: SubmoduleBasis
     provenance: list = field(default_factory=list)
 
-    def log(self, key, value):
-        self.provenance.append("%s=%s" % (key, value))
-
 
 def _note(logs, key, value):
     logs.append("%s=%s" % (key, value))
@@ -112,10 +109,6 @@ def _total_monomials(ring, idxs, maxdeg):
         return []
     rec(0, maxdeg, [])
     return out
-
-
-def _graph_degree(p, idxs):
-    return p.degree_in_vars(idxs)
 
 
 def _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs):
@@ -188,8 +181,8 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
                 val = op.apply(vec)
                 lhs_cache[(gamma, delta_m, comp)] = val
                 if not val.is_zero():
-                    d3 = max(d3, _graph_degree(val, gidx))
-    max_s_deg = max((_graph_degree(s, gidx) for s in svecs), default=0)
+                    d3 = max(d3, val.degree_in_vars(gidx))
+    max_s_deg = max((s.degree_in_vars(gidx) for s in svecs), default=0)
     box2_total = sum(b - 1 for b in d2_box.values())
     d3 = max(d3, box2_total + max_s_deg)
     _note(logs, "D3", d3)
@@ -305,7 +298,7 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     _note(logs, "stage2_zbox", sorted(zbox.values()))
     abasis = _box_monomials(ring, zbox)
     box_total = sum(b - 1 for b in zbox.values())
-    d2 = max((box_total + max(_graph_degree(p, zidx) for p in v.comps)
+    d2 = max((box_total + max(p.degree_in_vars(zidx) for p in v.comps)
               for v in pk), default=0)
     d2 = max(d2, max(power * qm.deg for qm in zanns))
     _note(logs, "stage2_D2", d2)

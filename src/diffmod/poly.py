@@ -65,12 +65,6 @@ class Ring:
         except KeyError:
             raise StructuralError("unknown variable %r" % name) from None
 
-    def extend(self, names, label):
-        return Ring(self.names + tuple(names), self.blocks + (label,) * len(names))
-
-    def drop_last(self, k=1):
-        return Ring(self.names[:-k], self.blocks[:-k])
-
     def __eq__(self, other):
         return isinstance(other, Ring) and self.names == other.names and self.blocks == other.blocks
 

@@ -162,9 +162,6 @@ class Stratum:
             out.append(QuasiMonic(p_, self.n + self.m + lam))
         return out
 
-    def triangular_system(self):
-        return TriangularSystem(self.ring, self.annihilators())
-
 
 # -- the trivial annihilating-polynomial routine -----------------------------
 

@@ -42,6 +42,17 @@ def test_gb_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_gb_order_option_changes_basis(tmp_path, capsys):
+    text = "[ring]\nx = x1, x2\n[polys]\nx1^2 - x2\nx1*x2 - 1\n"
+    path = write(tmp_path, "gb.txt", text)
+    code, lex, _ = run_cli(capsys, ["gb", path, "--order", "lex"])
+    assert code == 0
+    assert lex.splitlines() == ["x1 - x2^2", "x2^3 - 1"]
+    code, grevlex, _ = run_cli(capsys, ["gb", path, "--order", "grevlex"])
+    assert code == 0
+    assert grevlex.splitlines() == ["x1*x2 - 1", "x1^2 - x2", "x2^2 - x1"]
+
+
 def test_gb_output_reparses(tmp_path, capsys):
     path = write(tmp_path, "gb.txt", GB_MANIFEST)
     _, out, _ = run_cli(capsys, ["gb", path])

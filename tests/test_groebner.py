@@ -13,7 +13,7 @@ from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
 from diffmod.orders import ModuleOrder, lex_order, top_order
 from diffmod.poly import Polynomial, PolyVec, Ring
 
-from conftest import random_nonzero_polynomial, random_polynomial
+from conftest import random_nonzero_polynomial, random_polynomial, random_vec
 from oracle import membership_by_linear_algebra, vec_membership_by_linear_algebra
 
 RXY = Ring(("x", "y"), "xx")
@@ -165,6 +165,63 @@ def test_critical_l_examples():
 
     with pytest.raises(DomainError):
         critical_l([[x]], [[one]], Polynomial.zero(r1))
+
+
+def _criterion6_instances():
+    """The (A, B, Delta) family of acceptance criterion 6, drawn from seed 66."""
+    rng = random.Random(66)
+    ring = Ring.make(nx=2)
+    for _ in range(50):
+        rows = rng.randint(1, 2)
+        ja = rng.randint(1, 3)
+        kb = rng.randint(1, 2)
+        a = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
+              for _ in range(ja)] for _ in range(rows)]
+        b = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
+              for _ in range(kb)] for _ in range(rows)]
+        delta = random_nonzero_polynomial(rng, ring, deg=2, nterms=2, height=3)
+        yield a, b, delta
+
+
+def _chain_module(a, b, delta, l):
+    """M_l = {P : Delta^l * B P in col(A)}, through its own syzygy module."""
+    rows, kb = len(b), len(b[0])
+    dl = delta ** l
+    cols = [PolyVec([b[i][k] * dl for i in range(rows)]) for k in range(kb)]
+    cols += [PolyVec([a[i][j] for i in range(rows)]) for j in range(len(a[0]))]
+    gens = [PolyVec(s.comps[:kb]) for s in syzygy_module(cols).gens]
+    return SubmoduleBasis(delta.ring, kb, [g for g in gens if not g.is_zero()])
+
+
+def test_critical_l_is_minimal_and_saturate_matches_oracle():
+    positive = 0
+    for a, b, delta in _criterion6_instances():
+        l0, m = critical_l(a, b, delta)
+        assert module_equal(m, _chain_module(a, b, delta, l0))
+        if l0 > 0:
+            positive += 1
+            assert not module_equal(_chain_module(a, b, delta, l0 - 1), m)
+    assert positive > 0
+
+    rng = random.Random(67)
+    for _ in range(20):
+        j = rng.randint(1, 2)
+        f = random_nonzero_polynomial(rng, RXY, deg=1, nterms=2, height=3)
+        # M = (f^e_i * v_i), so every v_i lies in M : f^inf
+        vs = [random_vec(rng, RXY, j, deg=1, nterms=2, height=3)
+              for _ in range(rng.randint(1, 2))]
+        m = SubmoduleBasis(RXY, j, [v.scale(f ** rng.randint(0, 2)) for v in vs])
+        sat = saturate(m, f)
+        identity = [[Polynomial.one(RXY) if r == c else Polynomial.zero(RXY)
+                     for c in range(j)] for r in range(j)]
+        l0, _ = critical_l([[g[r] for g in m.gens] for r in range(j)], identity, f)
+        for g in list(m.gens) + [v for v in vs if not v.is_zero()]:
+            deg = max(p.degree() for p in g.comps)
+            assert vec_membership_by_linear_algebra(g, list(sat.gens), degcap=deg)
+        for g in sat.gens:
+            target = g.scale(f ** l0)
+            deg = max(p.degree() for p in target.comps)
+            assert vec_membership_by_linear_algebra(target, list(m.gens), degcap=deg + 4)
 
 
 def test_spair_normal_forms_vanish_random():
