@@ -9,8 +9,7 @@ Run:  python demos/05_quasimonic_division.py
 """
 
 from diffmod import Polynomial, Ring
-from diffmod.quasimonic import (QuasiMonic, degree_bound, delta_of,
-                                reduce_cofactor_degrees, reduce_mod_powers)
+from diffmod.quasimonic import QuasiMonic, delta_of, reduce_mod_powers
 
 ring = Ring.make(nx=1, ny=2)
 parse = lambda s: Polynomial.parse(ring, s)
@@ -19,7 +18,6 @@ q1 = QuasiMonic(parse("x1*y1 + x1 + 1"), ring.index("y1"))
 q2 = QuasiMonic(parse("y2^2 - x1"), ring.index("y2"))
 print("divisors:", q1.poly.text(), "|", q2.poly.text())
 print("Delta  = ", delta_of([q1, q2], ring).text())
-print("remainder degree budget (K=2):", degree_bound([q1.deg, q2.deg], 2))
 print()
 
 p = parse("y1^2*y2^2 + x1*y1 - y2 + 3")
@@ -34,16 +32,3 @@ lhs = delta_of([q1, q2], ring) ** cert.l * p
 rhs = cert.remainder + cert.cofactors[0] * q1.poly + cert.cofactors[1] * q2.poly
 assert lhs == rhs
 print("  identity re-expands exactly")
-print()
-
-# Cofactor degree reduction: a combination sum H_mu Q_mu of low degree
-# can always be rewritten with low-degree cofactors, at the cost of a
-# Delta power when the divisors are not monic.
-h1 = parse("y1*y2^2")
-h2 = Polynomial.zero(ring)
-combo = h1 * q1.poly + h2 * q2.poly
-dcap = combo.degree_in_vars([ring.index("y1"), ring.index("y2")])
-l, hs = reduce_cofactor_degrees([h1, h2], [q1, q2], dcap)
-print("cofactor reduction at degree cap %d: l = %d" % (dcap, l))
-for i, h in enumerate(hs):
-    print("  H#_%d = %s" % (i + 1, h.text()))

@@ -239,8 +239,7 @@ def cmd_vanish(text, args):
 
 def cmd_mclosure(text, args):
     sop = parse_operator_manifest(text)
-    res = main_mclosure(sop, check_samples=args.check_samples if args.check else 0,
-                        seed=args.seed)
+    res = main_mclosure(sop, check_samples=10 if args.check else 0, seed=args.seed)
     if args.log:
         for line in res.provenance:
             print("# %s" % line)
@@ -281,8 +280,8 @@ def build_parser():
     ap.add_argument("--width", default=None, help="refine root intervals below this width")
     ap.add_argument("--log", action="store_true", help="emit the provenance ledger")
     ap.add_argument("--check", action="store_true",
-                    help="re-run the soundness sampling before printing")
-    ap.add_argument("--check-samples", type=int, default=10)
+                    help="re-run the soundness sampling (10 samples per generator) "
+                    "before printing")
     return ap
 
 

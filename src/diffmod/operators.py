@@ -1,11 +1,11 @@
 """Linear differential operators with polynomial coefficients.
 
 An operator maps vectors of N polynomials to a single polynomial:
-L(f) = sum over terms a(x) * d^alpha f_i.  Scalar operators (N inputs
-collapsed to polynomial-to-polynomial maps) cover vector fields and
-operator composition; compositions are materialized eagerly into the
-(multi-index, component, coefficient) normal form by Leibniz expansion
-so operator identities can be checked by canonical equality.
+L(f) = sum over terms a(x) * d^alpha f_i.  A scalar operator, such as a
+vector field, is the N = 1 case; it composes with any operator, and the
+composition is materialized eagerly into the (multi-index, component,
+coefficient) normal form by Leibniz expansion so operator identities can
+be checked by canonical equality.
 
 The tangent frame of a stratum rewrites away base-variable derivatives:
 Delta^D L = sum over |alpha| <= M of X^alpha composed with an operator
@@ -21,16 +21,12 @@ from itertools import product
 from .errors import DomainError, StructuralError
 from .groebner import (LinearSystemOverRing, full_module, normal_form,
                        solution_module)
-from .poly import Polynomial, binom
+from .poly import Polynomial, PolyVec, binom
 from .quasimonic import QuasiMonic
 
 
 def _multi_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _multi_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _multi_binom(b, g):
@@ -44,92 +40,6 @@ def _sub_multis(beta):
     """All gamma <= beta componentwise."""
     ranges = [range(x + 1) for x in beta]
     return [tuple(g) for g in product(*ranges)]
-
-
-class ScalarOp:
-    """Polynomial-to-polynomial operator sum c_beta(x) * d^beta."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {}
-        for alpha, c in terms.items():
-            if isinstance(c, (int, Fraction)):
-                c = Polynomial.constant(ring, c)
-            if c.is_zero():
-                continue
-            if len(alpha) != ring.nvars:
-                raise StructuralError("multi-index length mismatch")
-            self.terms[tuple(alpha)] = c
-
-    @classmethod
-    def derivation(cls, ring, coeffs):
-        """First-order operator sum coeffs[i] * d_i (a vector field)."""
-        terms = {}
-        for i, c in coeffs.items():
-            alpha = tuple(1 if k == i else 0 for k in range(ring.nvars))
-            terms[alpha] = c
-        return cls(ring, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def order(self):
-        return max((sum(a) for a in self.terms), default=-1)
-
-    def apply_poly(self, f):
-        out = Polynomial.zero(self.ring)
-        for alpha, c in self.terms.items():
-            out = out + c * f.diff_multi(alpha)
-        return out
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, Polynomial.zero(self.ring)) + c
-        return ScalarOp(self.ring, terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, Polynomial.zero(self.ring)) - c
-        return ScalarOp(self.ring, terms)
-
-    def scale(self, p):
-        return ScalarOp(self.ring, {a: c * p for a, c in self.terms.items()})
-
-    def compose(self, inner):
-        """self after inner; inner may be a ScalarOp or a LinearDiffOp."""
-        if isinstance(inner, LinearDiffOp):
-            terms = {}
-            for beta, c in self.terms.items():
-                for (alpha, i), a in inner.terms.items():
-                    for gamma in _sub_multis(beta):
-                        coeff = c * a.diff_multi(gamma) * _multi_binom(beta, gamma)
-                        if coeff.is_zero():
-                            continue
-                        key = (_multi_add(tuple(x - y for x, y in zip(beta, gamma)), alpha), i)
-                        terms[key] = terms.get(key, Polynomial.zero(self.ring)) + coeff
-            return LinearDiffOp(self.ring, inner.ncomps, terms)
-        terms = {}
-        for beta, c in self.terms.items():
-            for alpha, a in inner.terms.items():
-                for gamma in _sub_multis(beta):
-                    coeff = c * a.diff_multi(gamma) * _multi_binom(beta, gamma)
-                    if coeff.is_zero():
-                        continue
-                    key = _multi_add(tuple(x - y for x, y in zip(beta, gamma)), alpha)
-                    terms[key] = terms.get(key, Polynomial.zero(self.ring)) + coeff
-        return ScalarOp(self.ring, terms)
-
-    def commutator(self, other):
-        return self.compose(other) - other.compose(self)
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarOp) and self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None
 
 
 class LinearDiffOp:
@@ -158,6 +68,15 @@ class LinearDiffOp:
             if not actual <= set(blocks):
                 raise StructuralError("operator differentiates outside declared blocks %r"
                                       % sorted(blocks))
+
+    @classmethod
+    def derivation(cls, ring, coeffs):
+        """First-order scalar operator sum coeffs[i] * d_i (a vector field)."""
+        terms = {}
+        for i, c in coeffs.items():
+            alpha = tuple(1 if k == i else 0 for k in range(ring.nvars))
+            terms[(alpha, 0)] = c
+        return cls(ring, 1, terms)
 
     def is_zero(self):
         return not self.terms
@@ -195,6 +114,9 @@ class LinearDiffOp:
             out = out + c * vec[i].diff_multi(alpha)
         return out
 
+    def apply_poly(self, f):
+        return self.apply(PolyVec([f]))
+
     def __add__(self, other):
         terms = dict(self.terms)
         for k, c in other.terms.items():
@@ -212,6 +134,21 @@ class LinearDiffOp:
         return LinearDiffOp(self.ring, self.ncomps,
                             {k: c * p for k, c in self.terms.items()})
 
+    def compose(self, inner):
+        """self after inner, expanded by Leibniz; self must be scalar."""
+        if self.ncomps != 1:
+            raise StructuralError("only a scalar operator composes with another")
+        terms = {}
+        for (beta, _), c in self.terms.items():
+            for (alpha, i), a in inner.terms.items():
+                for gamma in _sub_multis(beta):
+                    coeff = c * a.diff_multi(gamma) * _multi_binom(beta, gamma)
+                    if coeff.is_zero():
+                        continue
+                    key = (_multi_add(tuple(x - y for x, y in zip(beta, gamma)), alpha), i)
+                    terms[key] = terms.get(key, Polynomial.zero(self.ring)) + coeff
+        return LinearDiffOp(self.ring, inner.ncomps, terms)
+
     def __eq__(self, other):
         return (isinstance(other, LinearDiffOp) and self.ring == other.ring
                 and self.ncomps == other.ncomps and self.terms == other.terms)
@@ -227,10 +164,6 @@ class LinearDiffOp:
 
     def __repr__(self):
         return "LinearDiffOp(order=%d, %d terms)" % (self.order(), len(self.terms))
-
-
-def apply(op, vec):
-    return op.apply(vec)
 
 
 def zero_op(ring, ncomps):
@@ -266,7 +199,7 @@ def mclosure_poly_coeffs(op):
                 a = cur.coeff(alpha, i)
                 if a.is_zero():
                     continue
-                expand = ScalarOp(ring, {alpha: 1}).compose(
+                expand = LinearDiffOp(ring, 1, {(alpha, 0): 1}).compose(
                     identity_component_op(ring, n, i, a))
                 cur = cur - expand
         if not cur.is_zero() and cur.order() >= s:
@@ -347,9 +280,9 @@ def build_tangent_frame(stratum, vanishing=None):
             if not b.is_zero():
                 coeffs[qm.var] = b
                 ycoeffs[qm.var] = b
-        x_op = ScalarOp.derivation(ring, coeffs)
+        x_op = LinearDiffOp.derivation(ring, coeffs)
         fields.append(x_op)
-        y_parts.append(ScalarOp.derivation(ring, ycoeffs))
+        y_parts.append(LinearDiffOp.derivation(ring, ycoeffs))
 
     frame = TangentFrame(ring, stratum.x_indices(), delta, fields, y_parts, anns)
     frame.check_tangency()

@@ -1,12 +1,14 @@
 """Solution modules of differential constraints on graph strata.
 
 Stage I:  operators differentiating graph variables only.  Membership
-reduces, through division by annihilator powers and cofactor degree
-reduction, to solvability of a finite linear system over the base ring
-with degree-bounded unknowns; the critical-exponent search turns the
-"for some power of Delta" quantifier into a fixed exponent, and the
-stage finishes with a second critical-exponent computation whose
-solution module's leading components generate the answer.
+reduces, through division by annihilator powers, to solvability of a
+finite linear system over the base ring with degree-bounded unknowns.
+The degree bounds D3/D4 are the ones the cofactor-reduction lemma
+guarantees; no routine computes the reduced cofactors themselves.  The
+critical-exponent search turns the "for some power of Delta" quantifier
+into a fixed exponent, and the stage finishes with a second
+critical-exponent computation whose solution module's leading
+components generate the answer.
 
 Stage II: operators differentiating y and z blocks; produces the
 z-independent solutions over the (x, y)-ring from stage I's generators
@@ -75,6 +77,28 @@ def _restrict(p, small, mapping):
             mono[mapping[i]] = e
         terms[tuple(mono)] = c
     return Polynomial(small, terms)
+
+
+def _bucket(rows, prefix, colkey, poly, idxs):
+    """Add poly's coefficients over the idxs-monomials to column colkey of
+    the rows keyed (prefix, sub-monomial)."""
+    for sub, coeff in _split_by_vars(poly, idxs).items():
+        bucket = rows.setdefault((prefix, sub), {})
+        bucket[colkey] = bucket[colkey] + coeff if colkey in bucket else coeff
+
+
+def _base_matrices(rows, na, nb, small, mapping):
+    """(sorted row keys, A, B) of bucketed rows, restricted to the base ring;
+    A has columns ("A", 0..na-1) and B columns ("B", 0..nb-1)."""
+    zero = Polynomial.zero(small)
+    row_keys = sorted(rows)
+    buckets = [rows[key] for key in row_keys]
+
+    def matrix(kind, ncols):
+        return [[_restrict(b[(kind, ci)], small, mapping) if (kind, ci) in b else zero
+                 for ci in range(ncols)] for b in buckets]
+
+    return row_keys, matrix("A", na), matrix("B", nb)
 
 
 def _box_monomials(ring, bounds):
@@ -201,33 +225,16 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
                 acols.append(("P", gamma, qnum, mono))
 
     rows = {}
-
-    def row_entry(gamma, poly, colkind, colkey):
-        for sub, coeff in _split_by_vars(poly, gidx).items():
-            key = (gamma, sub)
-            rows.setdefault(key, {})[colkey] = \
-                rows.get(key, {}).get(colkey, Polynomial.zero(ring)) + coeff
-
     for gamma in gammas:
         for ci, (comp, delta_m) in enumerate(bcols):
-            val = lhs_cache[(gamma, delta_m, comp)]
-            if not val.is_zero():
-                row_entry(gamma, val, "B", ("B", ci))
+            _bucket(rows, gamma, ("B", ci), lhs_cache[(gamma, delta_m, comp)], gidx)
     for ci, col in enumerate(acols):
         kind, gamma, idx, mono = col
         base = svecs[idx] if kind == "S" else anns[idx].poly
-        val = base * Polynomial.monomial(ring, mono)
-        row_entry(gamma, val, "A", ("A", ci))
+        _bucket(rows, gamma, ("A", ci), base * Polynomial.monomial(ring, mono), gidx)
 
-    row_keys = sorted(rows)
-    a_matrix = []
-    b_matrix = []
-    for key in row_keys:
-        bucket = rows[key]
-        b_matrix.append([_restrict(bucket.get(("B", ci), Polynomial.zero(ring)), ring_x, xmap)
-                         for ci in range(len(bcols))])
-        a_matrix.append([_restrict(bucket.get(("A", ci), Polynomial.zero(ring)), ring_x, xmap)
-                         for ci in range(len(acols))])
+    row_keys, a_matrix, b_matrix = _base_matrices(rows, len(acols), len(bcols),
+                                                  ring_x, xmap)
     if not row_keys:
         # no constraints at all: every degree-bounded candidate works
         pk_vecs = [PolyVec([Polynomial.monomial(ring, dm) if c == comp
@@ -314,39 +321,19 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
                 acols.append(("H", lnum, comp, mono))
 
     rows = {}
-
-    def add_entries(colkey, comp, poly):
-        for sub, coeff in _split_by_vars(poly, zidx).items():
-            key = (comp, sub)
-            bucket = rows.setdefault(key, {})
-            bucket[colkey] = bucket.get(colkey, Polynomial.zero(ring)) + coeff
-
     for ci, col in enumerate(acols):
         kind, idx, comp, mono = col
         mult = Polynomial.monomial(ring, mono)
         if kind == "P":
             for c in range(j):
-                val = pk[idx][c] * mult
-                if not val.is_zero():
-                    add_entries(("A", ci), c, val)
+                _bucket(rows, c, ("A", ci), pk[idx][c] * mult, zidx)
         else:
-            val = (zanns[idx].poly ** power) * mult
-            add_entries(("A", ci), comp, val)
-
-    zero_mono = (0,) * ring.nvars
+            _bucket(rows, comp, ("A", ci), (zanns[idx].poly ** power) * mult, zidx)
+    # B puts P_c into the z-free row of component c
     for c in range(j):
-        rows.setdefault((c, zero_mono), {})
+        _bucket(rows, c, ("B", c), Polynomial.one(ring), zidx)
 
-    row_keys = sorted(rows)
-    a_matrix = []
-    b_matrix = []
-    for (comp, sub) in row_keys:
-        bucket = rows[(comp, sub)]
-        a_matrix.append([_restrict(bucket.get(("A", ci), Polynomial.zero(ring)),
-                                   ring_xy, xymap) for ci in range(len(acols))])
-        b_matrix.append([Polynomial.one(ring_xy)
-                         if (sub == zero_mono and comp == c) else Polynomial.zero(ring_xy)
-                         for c in range(j)])
+    _, a_matrix, b_matrix = _base_matrices(rows, len(acols), j, ring_xy, xymap)
 
     delta_xy = _restrict(delta_hat, ring_xy, xymap)
     l0, module = critical_l(a_matrix, b_matrix, delta_xy)
@@ -464,18 +451,6 @@ def main_mclosure(sop, check_samples=0, seed=0):
     if result.gens:
         result = buchberger(result)
     return ModuleResult(result, logs)
-
-
-def intersect_operator_modules(results):
-    """Intersection of per-operator modules, provenance concatenated."""
-    if not results:
-        raise StructuralError("nothing to intersect")
-    basis = results[0].basis
-    logs = list(results[0].provenance)
-    for r in results[1:]:
-        basis = intersect(basis, r.basis)
-        logs.extend(r.provenance)
-    return ModuleResult(basis, logs)
 
 
 # -- soundness sampling ---------------------------------------------------------

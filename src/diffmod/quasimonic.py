@@ -49,10 +49,6 @@ class QuasiMonic:
     def lead(self):
         return coeff_in_var(self.poly, self.var, self.deg)
 
-    @classmethod
-    def from_poly(cls, poly, var):
-        return cls(poly, var if isinstance(var, int) else poly.ring.index(var))
-
 
 def delta_of(qs, ring=None):
     """Product of the leading coefficients."""
@@ -64,13 +60,6 @@ def delta_of(qs, ring=None):
     for q in qs:
         d = d * q.lead
     return d
-
-
-def degree_bound(ds, k):
-    """Aggregate remainder degree bound sum(k*D_mu - 1) for k-th power division."""
-    if k < 1:
-        raise StructuralError("power must be positive")
-    return sum(k * d - 1 for d in ds)
 
 
 @dataclass
@@ -170,115 +159,3 @@ def reduce_mod_powers(p, qs, k):
                                bounds={q.var: k * q.deg for q in qs})
     cert.verify(p, qs, delta)
     return cert
-
-
-def reduce_cofactor_degrees(hs, qs, dcap):
-    """Rewrite sum H_mu * qm_mu with cofactors of bounded total degree.
-
-    Input: the combination sum H_mu * qm_mu must have degree <= dcap in
-    the distinguished variables, with dcap >= max D_mu.  Output (l, H#)
-    with Delta^l * sum H_mu qm_mu = sum H#_mu qm_mu exactly and
-    deg_dist(H#_mu) <= dcap - D_mu for every mu.  Each round cancels the
-    top homogeneous layer with Koszul-relation corrections, costing one
-    factor of Delta when the leading coefficients are non-constant.
-    """
-    if len(hs) != len(qs):
-        raise StructuralError("cofactor/divisor count mismatch")
-    if not qs:
-        return 0, []
-    ring = qs[0].poly.ring
-    dvars = [q.var for q in qs]
-    if len(set(dvars)) != len(dvars):
-        raise StructuralError("duplicate distinguished variable")
-    combo = Polynomial.zero(ring)
-    for h, q in zip(hs, qs):
-        combo = combo + h * q.poly
-    if combo.degree_in_vars(dvars) > dcap:
-        raise DomainError("combination exceeds the stated degree bound")
-    if dcap < max(q.deg for q in qs):
-        raise DomainError("degree cap below max divisor degree")
-    delta = delta_of(qs, ring)
-
-    def dist_deg(p):
-        return p.degree_in_vars(dvars)
-
-    hs = list(hs)
-    l = 0
-    while True:
-        m = max((q.deg + dist_deg(h) for h, q in zip(hs, qs) if not h.is_zero()),
-                default=-1)
-        if m <= dcap:
-            break
-        tops = []
-        for h, q in zip(hs, qs):
-            # homogeneous layer of h of distinguished-degree exactly m - q.deg
-            want = m - q.deg
-            layer = Polynomial(ring, {mm: c for mm, c in h.terms.items()
-                                      if sum(mm[v] for v in dvars) == want})
-            tops.append(layer)
-        # collect, per top multi-index gamma (over dvars, |gamma| = m), the
-        # dvars-parts of a_mu * top_mu at gamma - D_mu * e_mu; they sum to 0
-        corrections = [Polynomial.zero(ring) for _ in qs]
-        slots = {}
-        for i, (q, layer) in enumerate(zip(qs, tops)):
-            ai = q.lead
-            contrib = ai * layer
-            for mm, c in contrib.terms.items():
-                gamma = list(mm[v] for v in dvars)
-                gamma[dvars.index(q.var)] += q.deg
-                base = tuple(mm[v] if v not in dvars else 0 for v in range(ring.nvars))
-                key = tuple(gamma)
-                slots.setdefault(key, {}).setdefault(i, {})
-                slot = slots[key][i]
-                slot[base] = slot.get(base, Fraction(0)) + c
-        for gamma, per_i in slots.items():
-            idxs = sorted(per_i)
-            amounts = [Polynomial(ring, per_i[i]) for i in idxs]
-            # greedy transfer: lambda for the pair (idxs[t], idxs[t+1]) is the
-            # running prefix sum; prefix sums telescope back to each amount
-            prefix = Polynomial.zero(ring)
-            for t in range(len(idxs) - 1):
-                prefix = prefix + amounts[t]
-                if prefix.is_zero():
-                    continue
-                i, j = idxs[t], idxs[t + 1]
-                qi, qj = qs[i], qs[j]
-                expo = list(gamma)
-                expo[dvars.index(qi.var)] -= qi.deg
-                expo[dvars.index(qj.var)] -= qj.deg
-                if min(expo) < 0:
-                    raise DomainError("internal: negative correction exponent")
-                mono = [0] * ring.nvars
-                for v, e in zip(dvars, expo):
-                    mono[v] = e
-                scale = Polynomial.one(ring)
-                for t2, q2 in enumerate(qs):
-                    if t2 != i and t2 != j:
-                        scale = scale * q2.lead
-                core = prefix * scale * Polynomial.monomial(ring, tuple(mono))
-                corrections[i] = corrections[i] + core * qj.poly
-                corrections[j] = corrections[j] - core * qi.poly
-        new_hs = [h * delta - corr for h, corr in zip(hs, corrections)]
-        new_m = max((q.deg + dist_deg(h) for h, q in zip(new_hs, qs) if not h.is_zero()),
-                    default=-1)
-        if new_m >= m:
-            raise DomainError("internal: top cancellation failed")
-        hs = new_hs
-        if not delta.is_constant():
-            l += 1
-        # constant Delta is absorbed into the cofactors instead
-        if delta.is_constant() and delta.constant_value() != 1:
-            inv = 1 / delta.constant_value()
-            hs = [h * inv for h in hs]
-
-    # exact verification
-    lhs = (delta ** l) * combo
-    rhs = Polynomial.zero(ring)
-    for h, q in zip(hs, qs):
-        rhs = rhs + h * q.poly
-    if lhs != rhs:
-        raise DomainError("cofactor reduction identity failed")
-    for h, q in zip(hs, qs):
-        if not h.is_zero() and dist_deg(h) > dcap - q.deg:
-            raise DomainError("cofactor degree bound violated")
-    return l, hs

@@ -178,9 +178,6 @@ class IsolatingInterval:
     upper: Fraction
     exact: bool = False
 
-    def contains(self, x):
-        return self.lower <= x <= self.upper
-
     def width(self):
         return self.upper - self.lower
 
@@ -367,17 +364,6 @@ class Or(Desc):
 
 
 @dataclass(frozen=True)
-class Not(Desc):
-    part: Desc
-
-    def holds_at(self, point):
-        return not self.part.holds_at(point)
-
-    def atoms(self):
-        return self.part.atoms()
-
-
-@dataclass(frozen=True)
 class TrueDesc(Desc):
     def holds_at(self, point):
         return True
@@ -410,43 +396,6 @@ class SemialgebraicDescription:
 
     def conditions(self):
         return self.tree.atoms()
-
-
-def to_dnf(tree):
-    """List of conjunctive cells (lists of SignCondition), covering the set."""
-    if isinstance(tree, TrueDesc):
-        return [[]]
-    if isinstance(tree, Atom):
-        return [[tree.cond]]
-    if isinstance(tree, And):
-        cells = [[]]
-        for part in tree.parts:
-            cells = [c1 + c2 for c1 in cells for c2 in to_dnf(part)]
-        return cells
-    if isinstance(tree, Or):
-        out = []
-        for part in tree.parts:
-            out.extend(to_dnf(part))
-        return out
-    if isinstance(tree, Not):
-        inner = tree.part
-        if isinstance(inner, Not):
-            return to_dnf(inner.part)
-        if isinstance(inner, Atom):
-            p = inner.cond.poly
-            rel = inner.cond.rel
-            if rel == ">":
-                return to_dnf(Or((atom(p, "<"), atom(p, "="))))
-            if rel == "<":
-                return to_dnf(Or((atom(p, ">"), atom(p, "="))))
-            return to_dnf(Or((atom(p, ">"), atom(p, "<"))))
-        if isinstance(inner, And):
-            return to_dnf(Or(tuple(Not(q) for q in inner.parts)))
-        if isinstance(inner, Or):
-            return to_dnf(And(tuple(Not(q) for q in inner.parts)))
-        if isinstance(inner, TrueDesc):
-            return []
-    raise StructuralError("unknown description node %r" % tree)
 
 
 # -- rational witness search ---------------------------------------------

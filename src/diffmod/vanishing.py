@@ -31,7 +31,7 @@ from .groebner import SubmoduleBasis, buchberger, ideal, intersect, saturate
 from .poly import Polynomial, Ring, linear_change_of_vars, mat_det
 from .quasimonic import QuasiMonic
 from .realroots import (SemialgebraicDescription, TrueDesc, enumerate_points,
-                        isolate_real_roots, to_dnf)
+                        isolate_real_roots)
 
 
 # -- sympy conversion (used for factorization only) ------------------------
@@ -163,34 +163,6 @@ class Stratum:
         return out
 
 
-# -- the trivial annihilating-polynomial routine -----------------------------
-
-def annihilating_polynomial(desc):
-    """A nonzero polynomial vanishing on the function graph described by desc.
-
-    desc must decompose into sign-condition cells each carrying at least
-    one equation; the product of one chosen equation per cell vanishes
-    on the whole set.  A cell with no equation would be open, which a
-    function graph cannot be.
-    """
-    cells = to_dnf(desc.tree)
-    if not cells:
-        raise DomainError("description denotes the empty set")
-    chosen = []
-    for cell in cells:
-        eqs = [c.poly for c in cell if c.rel == "="]
-        if not eqs:
-            raise DomainError("a cell has no equation; the set has interior "
-                              "and cannot be a function graph")
-        chosen.append(eqs[0])
-    out = chosen[0]
-    for p_ in chosen[1:]:
-        out = out * p_
-    if out.is_zero():
-        raise DomainError("annihilating product vanished")
-    return out
-
-
 # -- component selection ------------------------------------------------------
 
 def select_component(system, witness):
@@ -242,9 +214,10 @@ def select_component(system, witness):
         raise UnsupportedInputError("leading coefficient vanishes at the witness")
 
     basis = ideal(ring, [qm.poly for qm in chosen])
-    if not lead_prod.is_constant():
-        basis = saturate(basis, lead_prod)
-    return buchberger(basis)
+    if lead_prod.is_constant():
+        return buchberger(basis)
+    # already a reduced top-grevlex basis
+    return saturate(basis, lead_prod)
 
 
 # -- witness search for strata -------------------------------------------------

@@ -351,6 +351,26 @@ def test_shipped_manifests(capsys):
     assert code == 0 and sorted(out.split()) == ["x1", "x2"]
 
 
+@pytest.mark.parametrize("command, manifest, golden", [
+    ("mclosure", "level_set_negative_indicator.txt", "mclosure_log_negative_indicator.txt"),
+    ("mclosure", "level_set_positive_indicator.txt", "mclosure_log_positive_indicator.txt"),
+    ("vanish", "level_set_negative_vanish.txt", "vanish_negative.txt"),
+    ("vanish", "level_set_positive_vanish.txt", "vanish_positive.txt"),
+])
+def test_shipped_manifests_match_golden_output(capsys, command, manifest, golden):
+    # the ledger and the bases are pinned byte for byte; without --log the
+    # output is the golden text less its ledger lines
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent
+    path = str(root.parent / "manifests" / manifest)
+    want = (root / "golden" / golden).read_text()
+    code, out, _ = run_cli(capsys, [command, path, "--log"])
+    assert code == 0 and out == want
+    code, out, _ = run_cli(capsys, [command, path])
+    assert code == 0 and out == "".join(line for line in want.splitlines(True)
+                                        if not line.startswith("# "))
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "[ring]\nx = x1\n[polys]\nx1 +* 2\n")
     code, out, err = run_cli(capsys, ["gb", path])

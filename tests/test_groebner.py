@@ -10,7 +10,7 @@ from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
                               poly_exact_div, saturate, solution_module,
                               solve_inhomogeneous, syzygy_module, vec_to_mvec,
                               _Gen, _reduce, _spair)
-from diffmod.orders import ModuleOrder, lex_order, top_order
+from diffmod.orders import ModuleOrder, grevlex_order, lex_order, top_order
 from diffmod.poly import Polynomial, PolyVec, Ring
 
 from conftest import random_nonzero_polynomial, random_polynomial, random_vec
@@ -272,3 +272,29 @@ def test_full_module_and_intersection_with_it():
     m = ideal(RXY, [P(RXY, "x*y - 1")])
     f = full_module(RXY, 1)
     assert module_equal(intersect(m, f), m)
+
+
+def test_reduced_basis_matches_sympy_groebner_random():
+    # sympy.groebner is an independent implementation; domain="QQ" makes it
+    # return the monic reduced basis rather than a primitive one over ZZ
+    import sympy
+    ring = Ring.make(nx=3)
+    gens = sympy.symbols("x1 x2 x3")
+    rng = random.Random(5151)
+
+    def as_set(polys):
+        return {frozenset(p.terms.items()) for p in polys}
+
+    for name, order in (("grevlex", grevlex_order()), ("lex", lex_order())):
+        for _ in range(15):
+            polys = [random_nonzero_polynomial(rng, ring, deg=3, nterms=3, height=5)
+                     for _ in range(rng.randint(2, 3))]
+            ours = buchberger(ideal(ring, polys, order=ModuleOrder(order, "top")))
+            theirs = sympy.groebner(
+                [sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                       for m, c in p.terms.items()}, *gens)
+                 for p in polys], *gens, order=name, domain="QQ")
+            want = [Polynomial(ring, {m: Fraction(int(c.p), int(c.q))
+                                      for m, c in sympy.Poly(g, *gens).terms()})
+                    for g in theirs.exprs]
+            assert as_set(ours.polys()) == as_set(want)

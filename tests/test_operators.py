@@ -5,7 +5,7 @@ import pytest
 
 from diffmod.errors import DomainError, StructuralError
 from diffmod.groebner import SubmoduleBasis, module_equal
-from diffmod.operators import (LinearDiffOp, ScalarOp, build_tangent_frame,
+from diffmod.operators import (LinearDiffOp, build_tangent_frame,
                                eliminate_x_derivatives, lift_operator,
                                mclosure_poly_coeffs, zero_op)
 from diffmod.poly import Polynomial, PolyVec, Ring
@@ -59,7 +59,7 @@ def test_declared_blocks_checked():
 
 def test_scalar_op_composition_leibniz():
     ring = RXY
-    dx = ScalarOp(ring, {(1, 0): 1})
+    dx = LinearDiffOp(ring, 1, {((1, 0), 0): 1})
     a = P(ring, "x1^2*y1")
     inner = LinearDiffOp(ring, 1, {((0, 0), 0): a})
     comp = dx.compose(inner)
@@ -68,6 +68,9 @@ def test_scalar_op_composition_leibniz():
     for _ in range(10):
         f = random_polynomial(rng, ring)
         assert comp.apply(PolyVec([f])) == a.diff(0) * f + a * f.diff(0)
+    # only a scalar operator composes: a vector one has no single output to feed
+    with pytest.raises(StructuralError):
+        LinearDiffOp(ring, 2, {((1, 0), 1): 1}).compose(inner)
 
 
 def test_mclosure_identity_difference():

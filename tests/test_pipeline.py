@@ -8,10 +8,9 @@ from diffmod.errors import StructuralError
 from diffmod.groebner import (SubmoduleBasis, full_module, ideal,
                               module_equal, normal_form)
 from diffmod.operators import LinearDiffOp, mclosure_poly_coeffs, zero_op
-from diffmod.pipeline import (ModuleResult, OperatorStratum, StratifiedOperator,
-                              algorithm_I, algorithm_II, algorithm_IV,
-                              check_on_stratum, graph_solution_module,
-                              intersect_operator_modules, main_mclosure)
+from diffmod.pipeline import (OperatorStratum, StratifiedOperator, algorithm_I,
+                              algorithm_II, algorithm_IV, check_on_stratum,
+                              graph_solution_module, main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring
 from diffmod.realroots import SemialgebraicDescription, atom, desc_and
 from diffmod.vanishing import Stratum, complexify
@@ -348,15 +347,3 @@ def test_main_indicator_on_ray():
     amb = res.basis.ring
     want = ideal(amb, [Polynomial.variable(amb, 0), Polynomial.variable(amb, 1)])
     assert module_equal(res.basis, want)
-
-
-def test_intersect_operator_modules():
-    ring = Ring.make(nx=2)
-    x, y = Polynomial.variable(ring, 0), Polynomial.variable(ring, 1)
-    r1 = ModuleResult(ideal(ring, [x]), ["a=1"])
-    r2 = ModuleResult(ideal(ring, [y]), ["b=2"])
-    out = intersect_operator_modules([r1, r2])
-    assert module_equal(out.basis, ideal(ring, [x * y]))
-    assert out.provenance == ["a=1", "b=2"]
-    single = intersect_operator_modules([r1])
-    assert module_equal(single.basis, r1.basis)

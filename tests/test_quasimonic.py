@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from diffmod.errors import DomainError, StructuralError
+from diffmod.errors import StructuralError
 from diffmod.poly import Polynomial, Ring
 from diffmod.quasimonic import (DivisionCertificate, QuasiMonic, delta_of,
-                                degree_bound, reduce_cofactor_degrees,
                                 reduce_mod_powers)
 
 from conftest import random_polynomial
@@ -16,12 +15,6 @@ RYY = Ring.make(nx=2, ny=2)           # x1 x2; y1 y2
 
 def P(ring, s):
     return Polynomial.parse(ring, s)
-
-
-def test_degree_bound_values():
-    assert degree_bound([1], 1) == 0
-    assert degree_bound([2, 3], 1) == 3
-    assert degree_bound([2], 2) == 3
 
 
 def test_reduce_single_quasimonic_hand_example():
@@ -88,73 +81,3 @@ def test_certificates_random():
         assert cert.verify(p, qs, delta)
         for q in qs:
             assert cert.remainder.degree_in(q.var) < k * q.deg
-
-
-def test_cofactor_reduction_zero_combination():
-    ring = RYY
-    y1 = P(ring, "y1")
-    y2 = P(ring, "y2")
-    qs = [QuasiMonic(y1, ring.index("y1")), QuasiMonic(y2, ring.index("y2"))]
-    l, hs = reduce_cofactor_degrees([y2, -y1], qs, 1)
-    assert l == 0
-    combo = hs[0] * y1 + hs[1] * y2
-    assert combo.is_zero()
-    for h, q in zip(hs, qs):
-        assert h.is_zero() or h.degree_in_vars([ring.index("y1"), ring.index("y2")]) <= 1 - q.deg
-
-
-def test_cofactor_reduction_idempotent_when_within_bounds():
-    ring = RYY
-    qs = [QuasiMonic(P(ring, "y1^2 - x1"), ring.index("y1"))]
-    hs = [P(ring, "x1^2 + 1")]
-    l, out = reduce_cofactor_degrees(hs, qs, 2)
-    assert l == 0 and out == hs
-
-
-def test_cofactor_reduction_monic_cancellation():
-    ring = RYY
-    y1, y2 = P(ring, "y1"), P(ring, "y2")
-    qs = [QuasiMonic(y1, ring.index("y1")), QuasiMonic(y2, ring.index("y2"))]
-    hs = [y1 * y2 * y2, Polynomial.zero(ring)]
-    l, out = reduce_cofactor_degrees(hs, qs, 4)
-    assert l == 0   # monic divisors never cost a Delta power
-    dv = [ring.index("y1"), ring.index("y2")]
-    combo_in = hs[0] * y1
-    combo_out = out[0] * y1 + out[1] * y2
-    assert combo_in == combo_out
-    for h, q in zip(out, qs):
-        assert h.is_zero() or h.degree_in_vars(dv) <= 4 - q.deg
-
-
-def test_cofactor_reduction_quasimonic_random():
-    rng = random.Random(43)
-    ring = RYY
-    dv = [ring.index("y1"), ring.index("y2")]
-    for _ in range(60):
-        qs = []
-        for mu in range(2):
-            d = rng.randint(1, 2)
-            lead = Polynomial.zero(ring)
-            while lead.is_zero():
-                lead = random_polynomial(rng, ring, deg=1, nterms=2, height=2)
-                lead = Polynomial(ring, {mm: c for mm, c in lead.terms.items()
-                                         if mm[dv[0]] == 0 and mm[dv[1]] == 0})
-            y = Polynomial.variable(ring, dv[mu])
-            qs.append(QuasiMonic(lead * y ** d, dv[mu]))
-        hs = [random_polynomial(rng, ring, deg=3, nterms=3, height=3) for _ in range(2)]
-        combo = hs[0] * qs[0].poly + hs[1] * qs[1].poly
-        dcap = max(combo.degree_in_vars(dv), max(q.deg for q in qs))
-        l, out = reduce_cofactor_degrees(hs, qs, dcap)
-        delta = delta_of(qs, ring)
-        lhs = delta ** l * combo
-        rhs = out[0] * qs[0].poly + out[1] * qs[1].poly
-        assert lhs == rhs
-        for h, q in zip(out, qs):
-            assert h.is_zero() or h.degree_in_vars(dv) <= dcap - q.deg
-
-
-def test_cofactor_reduction_precondition_checked():
-    ring = RYY
-    qs = [QuasiMonic(P(ring, "y1^3"), ring.index("y1"))]
-    with pytest.raises(DomainError):
-        reduce_cofactor_degrees([P(ring, "y1^4")], qs, 2)

@@ -9,8 +9,8 @@ from diffmod.realroots import (IsolatingInterval, SemialgebraicDescription,
                                atom, cauchy_bound, count_roots_between,
                                desc_and, desc_or, find_witness_point,
                                isolate_real_roots, refine_interval,
-                               sturm_chain_dense, sturm_sequence, to_dnf,
-                               Not, TrueDesc, _squarefree, _to_integer)
+                               sturm_chain_dense, sturm_sequence,
+                               _squarefree, _to_integer)
 
 R1 = Ring(("x",), "x")
 
@@ -301,11 +301,3 @@ def test_witness_on_example_surface_base():
 def test_witness_failure_on_empty_set():
     desc = SemialgebraicDescription(atom(P("x^2"), "<"), 1)
     assert find_witness_point(desc, budget=500) is None
-
-
-def test_dnf_of_negation():
-    tree = Not(atom(P("x"), ">"))
-    cells = to_dnf(tree)
-    rels = sorted(c[0].rel for c in cells)
-    assert rels == ["<", "="]
-    assert to_dnf(TrueDesc()) == [[]]

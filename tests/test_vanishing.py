@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from diffmod.errors import DomainError, UnsupportedInputError, WitnessSearchError
-from diffmod.groebner import ideal, module_equal, normal_form
+from diffmod.errors import UnsupportedInputError, WitnessSearchError
+from diffmod.groebner import buchberger, ideal, module_equal, normal_form
 from diffmod.poly import Polynomial, Ring
-from diffmod.realroots import SemialgebraicDescription, atom, desc_and, desc_or
-from diffmod.vanishing import (Stratum, TriangularSystem, annihilating_polynomial,
-                               complexify, factor_rational, select_component,
-                               vanishing_ideal)
+from diffmod.realroots import SemialgebraicDescription, atom, desc_and
+from diffmod.vanishing import (Stratum, TriangularSystem, complexify,
+                               factor_rational, select_component, vanishing_ideal)
 from diffmod.quasimonic import QuasiMonic
 
 from conftest import random_polynomial
@@ -17,42 +16,6 @@ from conftest import random_polynomial
 
 def P(ring, s):
     return Polynomial.parse(ring, s)
-
-
-# -- annihilating polynomial ------------------------------------------------
-
-def test_annihilating_single_cell():
-    ring = Ring(("x", "t"), "xy")
-    desc = SemialgebraicDescription(atom(P(ring, "t - x^2"), "="), 2)
-    assert annihilating_polynomial(desc) == P(ring, "t - x^2")
-
-
-def test_annihilating_absolute_value_graph():
-    ring = Ring(("x", "t"), "xy")
-    branch1 = desc_and(atom(P(ring, "t - x"), "="), atom(P(ring, "x"), ">"))
-    branch2 = desc_and(atom(P(ring, "t + x"), "="),
-                       desc_or(atom(P(ring, "x"), "<"), atom(P(ring, "x"), "=")))
-    desc = SemialgebraicDescription(desc_or(branch1, branch2), 2)
-    ann = annihilating_polynomial(desc)
-    # branch2 splits into two cells (x < 0 and x = 0), so t + x appears twice
-    assert ann == P(ring, "t - x") * P(ring, "t + x") * P(ring, "t + x")
-    for xv in (Fraction(3), Fraction(-2), Fraction(0), Fraction(1, 2)):
-        assert ann.evaluate([xv, abs(xv)]) == 0
-
-
-def test_annihilating_duplicate_equations_fine():
-    ring = Ring(("x", "t"), "xy")
-    d = desc_or(desc_and(atom(P(ring, "t - x"), "="), atom(P(ring, "x"), ">")),
-                desc_and(atom(P(ring, "t - x"), "="), atom(P(ring, "x"), "<")))
-    ann = annihilating_polynomial(SemialgebraicDescription(d, 2))
-    assert ann == P(ring, "t - x") * P(ring, "t - x")
-
-
-def test_annihilating_rejects_open_cell():
-    ring = Ring(("x", "t"), "xy")
-    desc = SemialgebraicDescription(atom(P(ring, "t"), ">"), 2)
-    with pytest.raises(DomainError):
-        annihilating_polynomial(desc)
 
 
 # -- component selection ------------------------------------------------------
@@ -97,11 +60,15 @@ def test_select_component_rejects_two_nonlinear():
 
 
 def test_select_component_saturates_leading_coefficient():
-    # x1 * y1 - 1: the hyperbola; leading coefficient x1 must be inverted
+    # leading coefficients x1 and x1^2 must be inverted; the saturation is
+    # returned as it comes, so it must already be the reduced basis
     ring = Ring.make(nx=1, ny=1)
-    sysm = TriangularSystem(ring, [QuasiMonic(P(ring, "x1*y1 - 1"), 1)])
-    out = select_component(sysm, [1, 1])
-    assert module_equal(out, ideal(ring, [P(ring, "x1*y1 - 1")]))
+    for text, witness in (("x1*y1 - 1", [1, 1]), ("x1^2*y1 - x1 - 1", [1, 2])):
+        sysm = TriangularSystem(ring, [QuasiMonic(P(ring, text), 1)])
+        out = select_component(sysm, witness)
+        assert module_equal(out, ideal(ring, [P(ring, text)]))
+        assert out.is_groebner
+        assert out.gens == buchberger(out).gens
 
 
 # -- complexify ----------------------------------------------------------------
