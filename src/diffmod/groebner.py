@@ -1,12 +1,22 @@
 """Groebner bases for ideals and submodules of free modules over Q[x].
 
 The engine works on "mvecs": dicts mapping (component, monomial) to a
-Fraction.  Buchberger's algorithm uses the normal pair-selection
+coefficient.  Buchberger's algorithm uses the normal pair-selection
 strategy with sugar tie-breaking; the coprime-lcm criterion is applied
 only when it is valid (ideal case, or both elements supported in one
 common component), the chain criterion whenever all three leading
-terms share a component.  Rational growth is controlled by dividing
-every reduction result by its content.
+terms share a component.
+
+Inside the core every generator is a primitive integer mvec, and
+reduction is fraction-free: a step scales the working vector by an
+integer instead of dividing by a leading coefficient, so each
+intermediate generator is a positive rational multiple of the one exact
+rational arithmetic would give and the path taken is the same.  Only the
+final monic basis and the remainders handed to callers are converted
+back to Fractions.  Generators are indexed by the component of their
+leading term, which is where divisor search, pair forming and the chain
+criterion look; order keys of module monomials are computed once per
+computation.
 
 Higher-level operations: syzygies and inhomogeneous solving (solution
 modules of linear systems over the ring), intersection by the tag
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, StructuralError
 from .orders import (ModuleOrder, elim_order, grevlex_order, mono_coprime,
@@ -45,132 +55,196 @@ def mvec_to_vec(ring, j, mv):
     return PolyVec([Polynomial(ring, t) for t in polys])
 
 
-def _mv_lt(mv, morder):
-    key = None
-    best = None
-    for (i, m) in mv:
-        k = morder.key(i, m)
-        if key is None or k > key:
-            key = k
-            best = (i, m)
-    return best
-
-
 def _mv_axpy(f, coeff, mono, g):
     """f -= coeff * x^mono * g, in place."""
-    for (i, m), c in g.items():
-        key = (i, mono_mul(mono, m))
-        v = f.get(key, Fraction(0)) - coeff * c
+    get = f.get
+    if any(mono):
+        g = {(i, mono_mul(mono, m)): c for (i, m), c in g.items()}
+    for key, c in g.items():
+        v = get(key, 0) - coeff * c
         if v:
             f[key] = v
         else:
             f.pop(key, None)
 
 
-def _mv_scale(f, c):
-    for k in f:
-        f[k] *= c
-
-
-def _mv_content(f):
-    num = 0
-    den = 1
-    for c in f.values():
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den)
-
-
-def _mv_make_primitive(f, companions=()):
-    """Divide f (and companion mvecs) by the content of f."""
+def _mv_primitive(f):
+    """(p, s): p the primitive integer mvec with p = s * f, s > 0 rational."""
     if not f:
-        return
-    c = _mv_content(f)
-    if c != 1:
-        inv = 1 / c
-        _mv_scale(f, inv)
-        for g in companions:
-            _mv_scale(g, inv)
+        return {}, Fraction(1)
+    num, den = 0, 1
+    for c in f.values():
+        num = gcd(num, c.numerator)
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return {k: c.numerator // num for k, c in f.items()}, Fraction(1, num)
+    return ({k: c.numerator * (den // c.denominator) // num for k, c in f.items()},
+            Fraction(den, num))
+
+
+class _Keys(dict):
+    """Order keys of module monomials, keys[(comp, mono)], each computed
+    once.  One instance serves one computation, so it does not outlive it."""
+
+    __slots__ = ("morder",)
+
+    def __init__(self, morder):
+        super().__init__()
+        self.morder = morder
+
+    def __missing__(self, term):
+        k = self[term] = self.morder.key(*term)
+        return k
+
+
+def _keys(order):
+    """A key cache for `order`, which may be a ModuleOrder or already a cache."""
+    return order if isinstance(order, _Keys) else _Keys(order)
 
 
 class _Gen:
+    """A generator as a primitive integer mvec, with its leading term.
+
+    `rep`, when tracked, is rescaled with mv so that mv = sum rep * inputs
+    keeps holding; its values may be Fractions.
+    """
+
     __slots__ = ("mv", "lt", "ltc", "sugar", "rep", "pure_comp")
 
-    def __init__(self, mv, morder, sugar=None, rep=None):
+    def __init__(self, mv, order, sugar=None, rep=None):
+        mv, s = _mv_primitive(mv)
+        if rep and s != 1:
+            rep = {k: v * s for k, v in rep.items()}
         self.mv = mv
-        self.lt = _mv_lt(mv, morder)
+        self.lt = max(mv, key=_keys(order).__getitem__)
         self.ltc = mv[self.lt]
         self.sugar = sugar if sugar is not None else max(mono_deg(m) for (_, m) in mv)
         self.rep = rep
         comps = {i for (i, _) in mv}
         self.pure_comp = next(iter(comps)) if len(comps) == 1 else None
 
+    def monic(self):
+        """mv divided by its leading coefficient, as Fractions."""
+        a = self.ltc
+        return {k: Fraction(c, a) for k, c in self.mv.items()}
 
-def _reduce(mv, gens, morder, rep=None, full=True):
-    """Normal form of mv against gens; mutates nothing, returns (remainder, rep')."""
-    work = dict(mv)
-    rem = {}
-    rep = dict(rep) if rep is not None else None
-    track = rep is not None
+
+def _index(gens):
+    """Component of the leading term -> the generators with it, in order."""
+    index = {}
+    for g in gens:
+        index.setdefault(g.lt[0], []).append(g)
+    return index
+
+
+def _nf(work, index, keys, rep=None, skip=None):
+    """Fraction-free normal form of the integer mvec `work` (consumed).
+
+    Returns (rem, rep, scale): rem = scale * (the exact normal form), with
+    `scale` a positive integer, and rep scaled alike.  A step with
+    divisor g turns work into (a/d) * work - (c/d) * x^q * g, where a is
+    g's leading coefficient, c the one of work and d = gcd(a, c) with the
+    sign of a.  Terms moved to the remainder keep the scale of their
+    step and are brought up to the final one at the end.
+    """
+    done = []
+    scale = 1
+    lead = keys.__getitem__
     while work:
-        lt = _mv_lt(work, morder)
+        lt = max(work, key=lead)
         c = work[lt]
-        hit = None
-        for g in gens:
-            if g.lt[0] == lt[0]:
-                q = mono_div(lt[1], g.lt[1])
+        mono = lt[1]
+        for g in index.get(lt[0], ()):
+            if g is not skip:
+                q = mono_div(mono, g.lt[1])
                 if q is not None:
-                    hit = (g, q)
                     break
-        if hit is None:
-            if not full:
-                rem.update(work)
-                return rem, rep
-            rem[lt] = c
+        else:
+            done.append((lt, c, scale))
             del work[lt]
             continue
-        g, q = hit
-        factor = c / g.ltc
-        _mv_axpy(work, factor, q, g.mv)
-        if track and g.rep is not None:
-            _mv_axpy(rep, factor, q, g.rep)
+        a = g.ltc
+        d = gcd(a, c) if a > 0 else -gcd(a, c)
+        mult = a // d
+        if mult != 1:
+            scale *= mult
+            for k in work:
+                work[k] *= mult
+            if rep:
+                for k in rep:
+                    rep[k] *= mult
+        f = c // d
+        _mv_axpy(work, f, q, g.mv)
+        if rep is not None and g.rep is not None:
+            _mv_axpy(rep, f, q, g.rep)
+    return {lt: c * (scale // s) for lt, c, s in done}, rep, scale
+
+
+def _exact_nf(mv, index, keys, rep=None):
+    """Exact (remainder, rep') of a rational mvec; mutates nothing."""
+    work, s = _mv_primitive(mv)
+    if rep is not None:
+        rep = {k: v * s for k, v in rep.items()}
+    rem, rep, scale = _nf(work, index, keys, rep)
+    s *= scale
+    rem = {k: c / s for k, c in rem.items()}
+    if rep is not None:
+        rep = {k: v / s for k, v in rep.items()}
     return rem, rep
 
 
+def _reduce(mv, gens, morder, rep=None):
+    """Normal form of mv against gens; mutates nothing, returns the exact
+    (remainder, rep')."""
+    return _exact_nf(mv, _index(gens), _keys(morder), rep)
+
+
 def _spair(gi, gj, morder, track):
+    """lcm(a, b) times the monic S-vector, a and b the leading coefficients."""
     comp = gi.lt[0]
     l = mono_lcm(gi.lt[1], gj.lt[1])
     qi = mono_div(l, gi.lt[1])
     qj = mono_div(l, gj.lt[1])
+    a, b = gi.ltc, gj.ltc
+    m = abs(a * b) // gcd(a, b)
     s = {}
-    _mv_axpy(s, Fraction(-1) / gi.ltc, qi, gi.mv)
-    _mv_axpy(s, Fraction(1) / gj.ltc, qj, gj.mv)
+    _mv_axpy(s, -(m // a), qi, gi.mv)
+    _mv_axpy(s, m // b, qj, gj.mv)
     rep = None
     if track:
         rep = {}
         if gi.rep:
-            _mv_axpy(rep, Fraction(-1) / gi.ltc, qi, gi.rep)
+            _mv_axpy(rep, -(m // a), qi, gi.rep)
         if gj.rep:
-            _mv_axpy(rep, Fraction(1) / gj.ltc, qj, gj.rep)
+            _mv_axpy(rep, m // b, qj, gj.rep)
     sugar = max(gi.sugar + mono_deg(qi), gj.sugar + mono_deg(qj))
     return s, rep, sugar, (comp, l)
 
 
-def _buchberger_core(mvs, morder, track=False, reps=None):
+def _buchberger_core(mvs, order, track=False):
+    """Reduced Groebner basis of the mvecs, as _Gens sorted by leading term.
+
+    Each _Gen holds a primitive integer mvec; `monic()` gives the basis
+    element.  With `track`, each rep gives the element as a combination
+    of the inputs, rep = {(input index, monomial): coefficient}.
+    """
+    keys = _keys(order)
+    morder = keys.morder
     gens = []
     for idx, mv in enumerate(mvs):
         if not mv:
             continue
-        mv = dict(mv)
-        zero_mono = (0,) * len(next(iter(mv))[1])
         rep = None
         if track:
-            rep = dict(reps[idx]) if reps is not None else {(idx, zero_mono): Fraction(1)}
-        _mv_make_primitive(mv, [rep] if rep else ())
-        gens.append(_Gen(mv, morder, rep=rep))
+            zero_mono = (0,) * len(next(iter(mv))[1])
+            rep = {(idx, zero_mono): 1}
+        gens.append(_Gen(mv, keys, rep=rep))
 
     heap = []
     pending = set()
+    index = {}      # component -> live generators, in gens order
+    positions = {}  # component -> their positions in gens
 
     def lcm_of(a, b):
         return mono_lcm(gens[a].lt[1], gens[b].lt[1])
@@ -183,14 +257,16 @@ def _buchberger_core(mvs, morder, track=False, reps=None):
         heapq.heappush(heap, ((morder.mono_order.key(l), sugar, s, t), s, t))
         pending.add((s, t))
 
-    def add_pairs(t):
-        gt = gens[t]
-        for s in range(t):
-            if gens[s].lt[0] == gt.lt[0]:
-                push_pair(s, t)
+    def add_gen(t):
+        comp = gens[t].lt[0]
+        same = positions.setdefault(comp, [])
+        for s in same:
+            push_pair(s, t)
+        same.append(t)
+        index.setdefault(comp, []).append(gens[t])
 
     for t in range(len(gens)):
-        add_pairs(t)
+        add_gen(t)
 
     while heap:
         _, s, t = heapq.heappop(heap)
@@ -206,54 +282,49 @@ def _buchberger_core(mvs, morder, track=False, reps=None):
             continue
         # chain criterion
         skip = False
-        for r in range(len(gens)):
-            if r in (s, t) or gens[r].lt[0] != gi.lt[0]:
+        for r in positions[gi.lt[0]]:
+            if r == s or r == t or mono_div(l, gens[r].lt[1]) is None:
                 continue
-            if mono_div(l, gens[r].lt[1]) is None:
-                continue
-            p1 = (min(s, r), max(s, r))
-            p2 = (min(t, r), max(t, r))
+            p1 = (s, r) if s < r else (r, s)
+            p2 = (t, r) if t < r else (r, t)
             if p1 not in pending and p2 not in pending:
                 skip = True
                 break
         if skip:
             continue
-        smv, srep, sugar, _ = _spair(gi, gj, morder, track)
-        rem, rrep = _reduce(smv, gens, morder, rep=srep)
+        smv, srep, sugar, _ = _spair(gi, gj, keys, track)
+        rem, rrep, _ = _nf(smv, index, keys, srep)
         if not rem:
             continue
-        _mv_make_primitive(rem, [rrep] if track else ())
-        gens.append(_Gen(rem, morder, sugar=sugar, rep=rrep))
-        add_pairs(len(gens) - 1)
+        gens.append(_Gen(rem, keys, sugar=sugar, rep=rrep))
+        add_gen(len(gens) - 1)
 
-    # inter-reduce to the unique reduced basis (monic leading coefficients)
+    # inter-reduce to the unique reduced basis
     changed = True
     while changed:
         changed = False
-        for k in range(len(gens)):
-            g = gens[k]
+        for k, g in enumerate(gens):
             if g is None:
                 continue
-            others = [h for idx, h in enumerate(gens) if h is not None and idx != k]
-            rem, rrep = _reduce(g.mv, others, morder, rep=g.rep)
+            rem, rrep, _ = _nf(dict(g.mv), index, keys,
+                               dict(g.rep) if track else None, skip=g)
+            if rem == g.mv:
+                continue
+            changed = True
+            bucket = index[g.lt[0]]
             if not rem:
                 gens[k] = None
-                changed = True
+                bucket.remove(g)
                 continue
-            if rem != g.mv:
-                _mv_make_primitive(rem, [rrep] if track else ())
-                gens[k] = _Gen(rem, morder, sugar=g.sugar, rep=rrep)
-                changed = True
+            new = gens[k] = _Gen(rem, keys, sugar=g.sugar, rep=rrep)
+            comp = new.lt[0]
+            if comp == g.lt[0]:
+                bucket[bucket.index(g)] = new
+            else:
+                bucket.remove(g)
+                index[comp] = [h for h in gens if h is not None and h.lt[0] == comp]
     out = [g for g in gens if g is not None]
-    for g in out:
-        c = g.ltc
-        if c != 1:
-            inv = 1 / c
-            _mv_scale(g.mv, inv)
-            if g.rep is not None:
-                _mv_scale(g.rep, inv)
-            g.ltc = Fraction(1)
-    out.sort(key=lambda g: morder.key(*g.lt))
+    out.sort(key=lambda g: keys[g.lt])
     return out
 
 
@@ -279,11 +350,20 @@ class SubmoduleBasis:
         self.order = order or top_order()
         self.is_groebner = is_groebner
         self._gb = self if is_groebner else None
+        self._reducers = None
 
     def groebner(self):
         if self._gb is None:
             self._gb = buchberger(self)
         return self._gb
+
+    def reducers(self):
+        """The generators as indexed integer _Gens, built on first use; a
+        basis never changes its generators, so every normal form shares them."""
+        if self._reducers is None:
+            keys = _Keys(self.order)
+            self._reducers = _index([_Gen(vec_to_mvec(g), keys) for g in self.gens])
+        return self._reducers
 
     def polys(self):
         if self.j != 1:
@@ -307,7 +387,7 @@ def full_module(ring, j):
 def buchberger(basis):
     """Reduced Groebner basis generating the same submodule."""
     gens = _buchberger_core([vec_to_mvec(g) for g in basis.gens], basis.order)
-    vecs = [mvec_to_vec(basis.ring, basis.j, g.mv) for g in gens]
+    vecs = [mvec_to_vec(basis.ring, basis.j, g.monic()) for g in gens]
     return SubmoduleBasis(basis.ring, basis.j, vecs, order=basis.order, is_groebner=True)
 
 
@@ -317,16 +397,13 @@ def normal_form(f, basis):
     v = PolyVec([f]) if scalar else f
     if len(v) != basis.j:
         raise StructuralError("arity mismatch")
-    gens = [_Gen(vec_to_mvec(g), basis.order) for g in basis.gens]
-    rem, _ = _reduce(vec_to_mvec(v), gens, basis.order)
+    rem, _ = _exact_nf(vec_to_mvec(v), basis.reducers(), _Keys(basis.order))
     out = mvec_to_vec(basis.ring, basis.j, rem)
     return out[0] if scalar else out
 
 
 def member(f, basis):
-    gb = basis.groebner()
-    nf = normal_form(f, gb)
-    return nf.is_zero() if isinstance(nf, Polynomial) else nf.is_zero()
+    return normal_form(f, basis.groebner()).is_zero()
 
 
 def module_equal(m1, m2):
@@ -363,7 +440,7 @@ def syzygy_module(gens):
     for g in basis:
         if any(i < j for (i, _) in g.mv):
             continue
-        shifted = {(i - j, m): c for (i, m), c in g.mv.items()}
+        shifted = {(i - j, m): c for (i, m), c in g.monic().items()}
         out.append(mvec_to_vec(ring, s, shifted))
     return SubmoduleBasis(ring, s, out)
 
@@ -403,16 +480,15 @@ def solve_inhomogeneous(system):
     if system.rhs is None:
         raise StructuralError("system has no right-hand side")
     ring = system.ring
-    cols = system.columns()
     q = PolyVec(system.rhs)
-    mvs = [vec_to_mvec(c) for c in cols]
+    mvs = _columns(system.matrix, len(system.matrix[0]))
     morder = top_order()
     gb = _buchberger_core(mvs, morder, track=True)
     rem, rep = _reduce(vec_to_mvec(q), gb, morder, rep={})
     if rem:
         return None
     # rem tracking gives q = -sum rep_k * gen_k
-    sol = [Polynomial.zero(ring) for _ in cols]
+    sol = [Polynomial.zero(ring) for _ in mvs]
     for (k, m), c in rep.items():
         sol[k] = sol[k] + Polynomial.monomial(ring, m, -c)
     p = PolyVec(sol)
@@ -423,6 +499,18 @@ def solve_inhomogeneous(system):
         if acc != system.rhs[i]:
             raise DomainError("internal: solution verification failed")
     return p
+
+
+def _columns(matrix, ncols):
+    """Column mvecs of a matrix of polynomials, in one pass over its entries."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(matrix):
+        for k, p in enumerate(row):
+            if p.terms:
+                col = cols[k]
+                for m, c in p.terms.items():
+                    col[(i, m)] = c
+    return cols
 
 
 def _with_tag(mv, power=0):
@@ -445,7 +533,7 @@ def _eliminate_tag(mvs, ring, j, comp_elim=0):
     for g in _buchberger_core(mvs, morder):
         if any(i < comp_elim or m[tidx] for (i, m) in g.mv):
             continue
-        down = {(i - comp_elim, m[:tidx]): c for (i, m), c in g.mv.items()}
+        down = {(i - comp_elim, m[:tidx]): c for (i, m), c in g.monic().items()}
         out.append(mvec_to_vec(ring, j, down))
     return out
 
@@ -475,7 +563,7 @@ def eliminate(basis, drop):
     for g in gb:
         if any(any(m[d] for d in drop) for (_, m) in g.mv):
             continue
-        out.append(mvec_to_vec(ring, basis.j, g.mv))
+        out.append(mvec_to_vec(ring, basis.j, g.monic()))
     return SubmoduleBasis(ring, basis.j, out)
 
 
@@ -532,8 +620,8 @@ def critical_l(a_matrix, b_matrix, delta):
     if a_matrix and len(a_matrix) != rows:
         raise StructuralError("A/B row mismatch")
 
-    b_cols = [vec_to_mvec(PolyVec(list(col))) for col in zip(*b_matrix)]
-    a_cols = [vec_to_mvec(PolyVec(list(col))) for col in zip(*a_matrix)]
+    b_cols = _columns(b_matrix, kk)
+    a_cols = _columns(a_matrix, len(a_matrix[0]) if a_matrix else 0)
     zero = (0,) * (ring.nvars + 1)
     mvs = []
     for k, col in enumerate(b_cols):
@@ -546,21 +634,27 @@ def critical_l(a_matrix, b_matrix, delta):
     mvs += [{(i, m): c for m, c in rab.items()} for i in range(rows)]
     gens = _eliminate_tag(mvs, ring, kk, comp_elim=rows)
 
-    morder = top_order()
-    col_a = _buchberger_core(a_cols, morder)
+    keys = _Keys(top_order())
+    col_a = _index(_buchberger_core(a_cols, keys))
+
+    def residue(mv):
+        # a positive multiple of the normal form modulo col(A), which is
+        # all that the test for zero needs
+        return _nf(_mv_primitive(mv)[0], col_a, keys)[0]
+
     l0 = 0
     for g in gens:
         bg = {}
         for k, col in enumerate(b_cols):
             for m, c in g[k].terms.items():
                 _mv_axpy(bg, -c, m, col)
-        rem, _ = _reduce(bg, col_a, morder)
+        rem = residue(bg)
         l = 0
         while rem:
             nxt = {}
             for m, c in delta.terms.items():
                 _mv_axpy(nxt, -c, m, rem)
-            rem, _ = _reduce(nxt, col_a, morder)
+            rem = residue(nxt)
             l += 1
         l0 = max(l0, l)
     return l0, SubmoduleBasis(ring, kk, gens, is_groebner=True)

@@ -9,26 +9,24 @@ engine go through these keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, ge, sub
 
 from .errors import StructuralError
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
     """a / b as a monomial, or None when b does not divide a."""
-    q = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        q.append(x - y)
-    return tuple(q)
+    if all(map(ge, a, b)):
+        return tuple(map(sub, a, b))
+    return None
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):

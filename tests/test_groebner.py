@@ -298,3 +298,70 @@ def test_reduced_basis_matches_sympy_groebner_random():
                                       for m, c in sympy.Poly(g, *gens).terms()})
                     for g in theirs.exprs]
             assert as_set(ours.polys()) == as_set(want)
+
+
+# Named systems, typed in: cyclic-4 and cyclic-5 (elementary cyclic sums
+# and x1*...*xn - 1) and katsura-4 over u0..u4 named x1..x5.
+NAMED_SYSTEMS = {
+    "cyclic4": (4, ["x1 + x2 + x3 + x4",
+                    "x1*x2 + x2*x3 + x3*x4 + x4*x1",
+                    "x1*x2*x3 + x2*x3*x4 + x3*x4*x1 + x4*x1*x2",
+                    "x1*x2*x3*x4 - 1"]),
+    "cyclic5": (5, ["x1 + x2 + x3 + x4 + x5",
+                    "x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x1",
+                    "x1*x2*x3 + x2*x3*x4 + x3*x4*x5 + x4*x5*x1 + x5*x1*x2",
+                    "x1*x2*x3*x4 + x2*x3*x4*x5 + x3*x4*x5*x1 + x4*x5*x1*x2"
+                    " + x5*x1*x2*x3",
+                    "x1*x2*x3*x4*x5 - 1"]),
+    "katsura4": (5, ["x1 + 2*x2 + 2*x3 + 2*x4 + 2*x5 - 1",
+                     "x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 + 2*x5^2 - x1",
+                     "2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5 - x2",
+                     "x2^2 + 2*x1*x3 + 2*x2*x4 + 2*x3*x5 - x3",
+                     "2*x2*x3 + 2*x1*x4 + 2*x2*x5 - x4"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SYSTEMS))
+def test_named_systems_match_sympy_groebner(name):
+    import sympy
+    n, texts = NAMED_SYSTEMS[name]
+    ring = Ring.make(nx=n)
+    symbols = sympy.symbols(" ".join(ring.names))
+    polys = [P(ring, t) for t in texts]
+    ours = buchberger(ideal(ring, polys, order=ModuleOrder(grevlex_order(), "top")))
+    theirs = sympy.groebner([sympy.sympify(t.replace("^", "**")) for t in texts],
+                            *symbols, order="grevlex", domain="QQ")
+    want = {frozenset((m, Fraction(int(c.p), int(c.q)))
+                      for m, c in sympy.Poly(g, *symbols).terms())
+            for g in theirs.exprs}
+    assert {frozenset(p.terms.items()) for p in ours.polys()} == want
+
+
+def _nonzero_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 7))
+
+
+def test_rational_rescaling_commutes_with_the_integer_core():
+    # the core works on primitive integer vectors, so scaling inputs by
+    # rationals must change neither the reduced basis nor normal forms
+    # beyond the same factor
+    rng = random.Random(3131)
+    ring = Ring.make(nx=3)
+    for trial in range(24):
+        j = 1 + trial % 2
+        order = ModuleOrder((grevlex_order(), lex_order())[trial % 3 == 0], "top")
+        count = rng.randint(1, 3)
+        gens = []
+        while len(gens) < count:
+            v = random_vec(rng, ring, j, deg=2, nterms=3, height=6)
+            if not v.is_zero():
+                gens.append(v)
+        gb = buchberger(SubmoduleBasis(ring, j, gens, order=order))
+        scaled = [g.scale(_nonzero_rational(rng)) for g in gens]
+        assert buchberger(SubmoduleBasis(ring, j, scaled, order=order)).gens == gb.gens
+        for _ in range(3):
+            f = random_vec(rng, ring, j, deg=3, nterms=4, height=9)
+            c = _nonzero_rational(rng)
+            assert normal_form(f.scale(c), gb) == normal_form(f, gb).scale(c)
+            if j == 1:
+                assert normal_form(f[0] * c, gb) == normal_form(f[0], gb) * c
