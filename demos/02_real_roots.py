@@ -1,5 +1,5 @@
-"""The real-root oracle: Sturm chains, exact isolation, refinement, and
-bounded rational witness search inside sign-condition sets.
+"""The real-root oracle: Sturm root counts, exact isolation, refinement,
+and bounded rational witness search inside sign-condition sets.
 
 Run:  python demos/02_real_roots.py
 """
@@ -7,25 +7,30 @@ Run:  python demos/02_real_roots.py
 from fractions import Fraction
 
 from diffmod import Polynomial, Ring
-from diffmod.realroots import (SemialgebraicDescription, atom, desc_and,
+from diffmod.realroots import (SemialgebraicDescription, atom,
+                               count_roots_between, desc_and,
                                find_witness_point, isolate_real_roots,
-                               refine_interval, sturm_sequence)
+                               refine_interval, sturm_chain_dense)
 
 ring = Ring(("x",), "x")
 parse = lambda s: Polynomial.parse(ring, s)
 
-# The Sturm chain of x^3 - x: sign variations count distinct real roots.
-p = parse("x^3 - x")
-print("Sturm chain of x^3 - x:")
-for link in sturm_sequence(p):
-    print("   ", link.text())
+# The Sturm chain of x^3 - x, on dense coefficients (low degree first):
+# the drop in sign variations counts the distinct real roots in (lo, hi].
+chain = sturm_chain_dense([Fraction(0), Fraction(-1), Fraction(0), Fraction(1)])
+print("Sturm chain of x^3 - x:", [[str(c) for c in link] for link in chain])
+for lo, hi in ((-2, 2), (0, 2), (Fraction(1, 2), 2)):
+    print("   roots in (%s, %s]:" % (lo, hi), count_roots_between(chain, lo, hi))
 print()
 
 # Isolation reports rational roots exactly and irrational ones as intervals
-# on which the square-free part changes sign.
-for text in ("x^2 - x", "x^2 - 2", "x^2 + 1", "x^3 - 2*x^2 - x + 2"):
+# on which the square-free part changes sign.  A rational root is k/lead
+# for an integer k, so a Sturm cell narrowed below 1/lead holds a single
+# candidate; no divisor of any coefficient is ever enumerated.
+for text in ("x^2 - x", "x^2 - 2", "x^2 + 1", "x^3 - 2*x^2 - x + 2",
+             "1000000007*x - 1000000000039"):
     q = parse(text)
-    print("roots of %-22s" % text, [str(iv) for iv in isolate_real_roots(q)])
+    print("roots of %-30s" % text, [str(iv) for iv in isolate_real_roots(q)])
 print()
 
 # Any isolating interval refines below a requested width by bisection,

@@ -18,9 +18,9 @@ from .groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
                        critical_l, eliminate, intersect, normal_form,
                        saturate, solve_inhomogeneous, syzygy_module)
 from .manifest import (need, parse_desc_section, parse_operator_lines,
-                       parse_operator_manifest, parse_poly, parse_ring,
-                       parse_strata_manifest, parse_vec, parse_vec_lines,
-                       section_map, split_sections)
+                       parse_operator_manifest, parse_order, parse_poly,
+                       parse_ring, parse_strata_manifest, parse_vec,
+                       parse_vec_lines, section_map, split_sections)
 from .orders import ModuleOrder
 from .pipeline import main_mclosure
 from .quasimonic import QuasiMonic, reduce_mod_powers
@@ -70,16 +70,7 @@ def _ring_and_map(text, args=None, command=None):
         _reject_unknown(command, smap)
     ring, order = parse_ring(need(smap, "ring"))
     if args is not None and args.order:
-        from .orders import block_order, grevlex_order, lex_order
-        name = args.order.lower()
-        if name == "lex":
-            order = lex_order()
-        elif name == "grevlex":
-            order = grevlex_order()
-        elif name.startswith("block:"):
-            order = block_order(int(name.split(":", 1)[1]))
-        else:
-            raise ManifestError("unknown order %r" % args.order)
+        order = parse_order(args.order)
     return ring, order, smap
 
 
@@ -174,9 +165,14 @@ def cmd_roots(text, args):
     ring, order, smap = _ring_and_map(text, args, 'roots')
     [(ptext, pline)] = need(smap, "poly").payload
     p = parse_poly(ring, ptext, pline)
-    intervals = isolate_real_roots(p)
+    width = None
     if args.width is not None:
-        width = Fraction(args.width)
+        try:
+            width = Fraction(args.width)
+        except (ValueError, ZeroDivisionError):
+            raise ManifestError("bad --width %r" % args.width) from None
+    intervals = isolate_real_roots(p)
+    if width is not None:
         intervals = [refine_interval(p, iv, width) for iv in intervals]
     for iv in intervals:
         if iv.exact:

@@ -85,20 +85,23 @@ def parse_ring(section):
         raise ManifestError(str(exc), section.line) from None
     order = grevlex_order()
     if "order" in section.keys:
-        text, line = section.keys["order"]
-        text = text.strip().lower()
-        if text == "lex":
-            order = lex_order()
-        elif text == "grevlex":
-            order = grevlex_order()
-        elif text.startswith("block:"):
-            try:
-                order = block_order(int(text.split(":", 1)[1]))
-            except ValueError:
-                raise ManifestError("bad block order split", line) from None
-        else:
-            raise ManifestError("unknown order %r" % text, line)
+        order = parse_order(*section.keys["order"])
     return ring, order
+
+
+def parse_order(text, line=None):
+    """The monomial order named lex, grevlex or block:K."""
+    text = text.strip().lower()
+    if text == "lex":
+        return lex_order()
+    if text == "grevlex":
+        return grevlex_order()
+    if text.startswith("block:"):
+        try:
+            return block_order(int(text.split(":", 1)[1]))
+        except ValueError:
+            raise ManifestError("bad block order split", line) from None
+    raise ManifestError("unknown order %r" % text, line)
 
 
 def parse_poly(ring, text, line):

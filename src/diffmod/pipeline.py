@@ -50,52 +50,34 @@ def _note(logs, key, value):
     logs.append("%s=%s" % (key, value))
 
 
-def _split_by_vars(p, idxs):
-    """Expand p as sum over monomials in the idxs-variables with coefficients
-    free of them: {sub-mono (full length): coefficient polynomial}."""
-    idxs = tuple(idxs)
-    out = {}
-    n = p.ring.nvars
-    for m, c in p.terms.items():
-        sub = tuple(m[i] if i in idxs else 0 for i in range(n))
-        rest = tuple(0 if i in idxs else m[i] for i in range(n))
-        bucket = out.setdefault(sub, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + c
-    return {sub: Polynomial(p.ring, terms) for sub, terms in out.items()}
+def _restrict(p, small):
+    """Reinterpret p over small, a prefix of its ring; the other variables
+    must be absent."""
+    k = small.nvars
+    if any(any(m[k:]) for m in p.terms):
+        raise StructuralError("polynomial sticks out of the subring")
+    return Polynomial(small, {m[:k]: c for m, c in p.terms.items()})
 
 
-def _restrict(p, small, mapping):
-    """Reinterpret p in a smaller ring; all other variables must be absent."""
-    terms = {}
-    for m, c in p.terms.items():
-        mono = [0] * small.nvars
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            if i not in mapping:
-                raise StructuralError("polynomial sticks out of the subring")
-            mono[mapping[i]] = e
-        terms[tuple(mono)] = c
-    return Polynomial(small, terms)
+def _bucket(rows, prefix, colkey, poly, k):
+    """Add poly, split as a sum over monomials in the variables from index k
+    on, to column colkey of the rows keyed (prefix, that monomial).  Each
+    entry is a {monomial in the first k variables: coefficient} dict."""
+    for m, c in poly.terms.items():
+        entry = rows.setdefault((prefix, m[k:]), {}).setdefault(colkey, {})
+        base = m[:k]
+        entry[base] = entry[base] + c if base in entry else c
 
 
-def _bucket(rows, prefix, colkey, poly, idxs):
-    """Add poly's coefficients over the idxs-monomials to column colkey of
-    the rows keyed (prefix, sub-monomial)."""
-    for sub, coeff in _split_by_vars(poly, idxs).items():
-        bucket = rows.setdefault((prefix, sub), {})
-        bucket[colkey] = bucket[colkey] + coeff if colkey in bucket else coeff
-
-
-def _base_matrices(rows, na, nb, small, mapping):
-    """(sorted row keys, A, B) of bucketed rows, restricted to the base ring;
-    A has columns ("A", 0..na-1) and B columns ("B", 0..nb-1)."""
+def _base_matrices(rows, na, nb, small):
+    """(sorted row keys, A, B) of bucketed rows as Polynomials over the base
+    ring; A has columns ("A", 0..na-1) and B columns ("B", 0..nb-1)."""
     zero = Polynomial.zero(small)
     row_keys = sorted(rows)
     buckets = [rows[key] for key in row_keys]
 
     def matrix(kind, ncols):
-        return [[_restrict(b[(kind, ci)], small, mapping) if (kind, ci) in b else zero
+        return [[Polynomial(small, b[(kind, ci)]) if (kind, ci) in b else zero
                  for ci in range(ncols)] for b in buckets]
 
     return row_keys, matrix("A", na), matrix("B", nb)
@@ -181,7 +163,6 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
         delta = delta * qm.lead
 
     ring_x = Ring.make(nx=stratum.n)
-    xmap = {i: i for i in range(stratum.n)}
 
     # degree data
     d1_box = {qm.var: power * qm.deg for qm in anns}
@@ -227,14 +208,13 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     rows = {}
     for gamma in gammas:
         for ci, (comp, delta_m) in enumerate(bcols):
-            _bucket(rows, gamma, ("B", ci), lhs_cache[(gamma, delta_m, comp)], gidx)
+            _bucket(rows, gamma, ("B", ci), lhs_cache[(gamma, delta_m, comp)], stratum.n)
     for ci, col in enumerate(acols):
         kind, gamma, idx, mono = col
         base = svecs[idx] if kind == "S" else anns[idx].poly
-        _bucket(rows, gamma, ("A", ci), base * Polynomial.monomial(ring, mono), gidx)
+        _bucket(rows, gamma, ("A", ci), base * Polynomial.monomial(ring, mono), stratum.n)
 
-    row_keys, a_matrix, b_matrix = _base_matrices(rows, len(acols), len(bcols),
-                                                  ring_x, xmap)
+    row_keys, a_matrix, b_matrix = _base_matrices(rows, len(acols), len(bcols), ring_x)
     if not row_keys:
         # no constraints at all: every degree-bounded candidate works
         pk_vecs = [PolyVec([Polynomial.monomial(ring, dm) if c == comp
@@ -243,7 +223,7 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
         _note(logs, "stage1_l", 0)
         return _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs)
 
-    delta_x = _restrict(delta, ring_x, xmap)
+    delta_x = _restrict(delta, ring_x)
     l0, coeff_module = critical_l(a_matrix, b_matrix, delta_x)
     _note(logs, "stage1_l", l0)
     _note(logs, "stage1_coeff_gens", len(coeff_module.gens))
@@ -252,7 +232,7 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     for gen in coeff_module.gens:
         comps = [Polynomial.zero(ring) for _ in range(j)]
         for ci, (comp, delta_m) in enumerate(bcols):
-            c = gen[ci].lift(ring, xmap)
+            c = gen[ci].lift(ring)
             if not c.is_zero():
                 comps[comp] = comps[comp] + c * Polynomial.monomial(ring, delta_m)
         vec = PolyVec(comps)
@@ -280,16 +260,16 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     ring = stratum.ring
     j = op.ncomps
     ring_xy = Ring.make(nx=stratum.n, ny=stratum.m)
-    xymap = {i: i for i in range(stratum.n + stratum.m)}
+    kxy = ring_xy.nvars
 
     inner = graph_solution_module(stratum, op, vanishing, logs)
     if stratum.p == 0:
-        gens = [PolyVec([_restrict(p, ring_xy, xymap) for p in g.comps])
+        gens = [PolyVec([_restrict(p, ring_xy) for p in g.comps])
                 for g in inner.gens]
         return SubmoduleBasis(ring_xy, j, gens)
 
     pk = list(inner.gens)
-    zidx = tuple(range(stratum.n + stratum.m, ring.nvars))
+    zidx = tuple(range(kxy, ring.nvars))
     zanns = stratum.annihilators()[stratum.m:]
     m_ord = max(op.order(), 0)
     power = m_ord + 1
@@ -326,16 +306,16 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
         mult = Polynomial.monomial(ring, mono)
         if kind == "P":
             for c in range(j):
-                _bucket(rows, c, ("A", ci), pk[idx][c] * mult, zidx)
+                _bucket(rows, c, ("A", ci), pk[idx][c] * mult, kxy)
         else:
-            _bucket(rows, comp, ("A", ci), (zanns[idx].poly ** power) * mult, zidx)
+            _bucket(rows, comp, ("A", ci), (zanns[idx].poly ** power) * mult, kxy)
     # B puts P_c into the z-free row of component c
     for c in range(j):
-        _bucket(rows, c, ("B", c), Polynomial.one(ring), zidx)
+        _bucket(rows, c, ("B", c), Polynomial.one(ring), kxy)
 
-    _, a_matrix, b_matrix = _base_matrices(rows, len(acols), j, ring_xy, xymap)
+    _, a_matrix, b_matrix = _base_matrices(rows, len(acols), j, ring_xy)
 
-    delta_xy = _restrict(delta_hat, ring_xy, xymap)
+    delta_xy = _restrict(delta_hat, ring_xy)
     l0, module = critical_l(a_matrix, b_matrix, delta_xy)
     _note(logs, "stage2_l", l0)
     _note(logs, "stage2_gens", len(module.gens))

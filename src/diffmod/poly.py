@@ -157,9 +157,6 @@ class Polynomial:
                     used.add(i)
         return used
 
-    def coeff_of(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
-
     def leading(self, order=None):
         """(monomial, coefficient) of the leading term; raises on zero."""
         if not self.terms:

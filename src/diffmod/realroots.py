@@ -1,16 +1,21 @@
 """Exact real-root isolation for univariate rational polynomials, sign
 conditions on semialgebraic sets, and bounded rational witness search.
 
-Univariate work happens on dense coefficient lists (low degree first);
-isolation is Sturm bisection on the square-free part after all rational
-roots have been split off exactly, so rational roots are always
-reported as exact points and every interval brackets a sign change.
+Univariate work happens on dense coefficient lists (low degree first).
+Every root is found by one Sturm bisection.  Rational roots come first:
+a rational root of the square-free integer part q is k/lead(q) for an
+integer k (rational root theorem), so each Sturm cell of q, narrowed
+below 1/lead(q), holds exactly one candidate, which is tested by exact
+evaluation.  The rational roots are then divided out of q, and the
+quotient is bisected again into isolating intervals, each bracketing a
+sign change.  Rational roots are always reported as exact points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
 from .errors import DomainError, StructuralError
 from .poly import Polynomial
@@ -28,7 +33,10 @@ def _deg(c):
     return len(c) - 1
 
 
-def _dense_from_poly(p):
+def _dense(p):
+    """Dense coefficients of a univariate Polynomial or coefficient list."""
+    if not isinstance(p, Polynomial):
+        return _strip([Fraction(v) for v in p])
     used = p.vars_used()
     if len(used) > 1:
         raise StructuralError("polynomial is not univariate")
@@ -36,17 +44,7 @@ def _dense_from_poly(p):
     coeffs = [Fraction(0)] * (p.degree_in(var) + 1 if not p.is_zero() else 1)
     for m, c in p.terms.items():
         coeffs[m[var]] = c
-    return _strip(coeffs), var
-
-
-def _dense_to_poly(ring, var, coeffs):
-    terms = {}
-    n = ring.nvars
-    for e, c in enumerate(coeffs):
-        if c:
-            mono = tuple(e if i == var else 0 for i in range(n))
-            terms[mono] = c
-    return Polynomial(ring, terms)
+    return _strip(coeffs)
 
 
 def _eval(c, x):
@@ -150,14 +148,6 @@ def sturm_chain_dense(c):
     return chain
 
 
-def sturm_sequence(p):
-    """Sturm chain of p as a list of Polynomials (p, p', negated remainders)."""
-    if not isinstance(p, Polynomial) or p.is_zero():
-        raise DomainError("Sturm sequence needs a nonzero polynomial")
-    c, var = _dense_from_poly(p)
-    return [_dense_to_poly(p.ring, var, f) for f in sturm_chain_dense(c)]
-
-
 def _variations(values):
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -187,36 +177,64 @@ class IsolatingInterval:
         return "[%s, %s]" % (self.lower, self.upper)
 
 
-def _rational_roots(ints):
-    """All rational roots of an integer-coefficient polynomial, exactly."""
-    c = list(ints)
-    shift = 0
-    while c and c[0] == 0:
-        c.pop(0)
-        shift += 1
-    roots = set([Fraction(0)] if shift else [])
-    if not c or _deg(c) == 0:
-        return sorted(roots)
+def _cells(chain, lo, hi):
+    """Subintervals (a, b] of (lo, hi] holding one root each of the
+    chain's square-free polynomial, by Sturm bisection."""
+    stack = [(lo, hi, sign_variations_at(chain, lo), sign_variations_at(chain, hi))]
+    cells = []
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            cells.append((lo, hi))
+        elif vlo > vhi:
+            mid = (lo + hi) / 2
+            vmid = sign_variations_at(chain, mid)
+            stack.append((lo, mid, vlo, vmid))
+            stack.append((mid, hi, vmid, vhi))
+    return cells
 
-    def divisors(n):
-        n = abs(int(n))
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
 
-    a0 = int(c[0])
-    an = int(c[-1])
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and _eval(c, cand) == 0:
-                    roots.add(cand)
+def _narrow(chain, lo, hi, wide):
+    """Halve a one-root cell (lo, hi], keeping its root, while wide(lo, hi)."""
+    vhi = sign_variations_at(chain, hi)
+    while wide(lo, hi):
+        mid = (lo + hi) / 2
+        vmid = sign_variations_at(chain, mid)
+        if vmid != vhi:     # the root is in (mid, hi]
+            lo = mid
+        else:
+            hi, vhi = mid, vmid
+    return lo, hi
+
+
+def _rational_roots(q):
+    """All rational roots of a square-free integer polynomial, exactly.
+
+    Each is k/lead for an integer k, so a cell shorter than 1/lead holds
+    one candidate: the largest such point at or below its upper end."""
+    lead = int(q[-1])
+    chain = sturm_chain_dense(q)
+    bound = cauchy_bound(q)
+    roots = []
+    for lo, hi in _cells(chain, -bound, bound):
+        lo, hi = _narrow(chain, lo, hi, lambda a, b: (b - a) * lead >= 1)
+        cand = Fraction(floor(hi * lead), lead)
+        if cand > lo and _eval(q, cand) == 0:
+            roots.append(cand)
     return sorted(roots)
+
+
+def _prepare(p):
+    """(rational roots of p, q2): q2 is the square-free integer part of p
+    with those roots divided out, so it has irrational roots only."""
+    c = _dense(p)
+    if _deg(c) < 1:
+        raise DomainError("root isolation needs a nonconstant polynomial")
+    q = _to_integer(_squarefree(c))
+    rational = _rational_roots(q)
+    for r in rational:
+        q = _exact_div(q, [-r, Fraction(1)])
+    return rational, q
 
 
 def isolate_real_roots(p):
@@ -225,52 +243,17 @@ def isolate_real_roots(p):
     Rational roots come back as exact points; the remaining roots as
     intervals on which the square-free part changes sign.
     """
-    if isinstance(p, Polynomial):
-        c, _ = _dense_from_poly(p)
-    else:
-        c = _strip([Fraction(v) for v in p])
-    if _deg(c) < 1:
-        raise DomainError("root isolation needs a nonconstant polynomial")
-    q = _to_integer(_squarefree(c))
-    rational = _rational_roots(q)
-    q2 = list(q)
-    for r in rational:
-        q2 = _exact_div(q2, [-r, Fraction(1)])
-
+    rational, q2 = _prepare(p)
     out = [IsolatingInterval(r, r, exact=True) for r in rational]
     if _deg(q2) >= 1:
         chain = sturm_chain_dense(q2)
         bound = cauchy_bound(q2)
-        stack = [(-bound, bound)]
-        cells = []
-        while stack:
-            lo, hi = stack.pop()
-            n = count_roots_between(chain, lo, hi)
-            if n == 0:
-                continue
-            if n == 1:
-                cells.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-
-        def shrink(lo, hi, exclude):
-            # keep the unique chain root, push endpoints off `exclude`
-            while exclude(lo, hi):
-                mid = (lo + hi) / 2
-                if count_roots_between(chain, mid, hi) == 1:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo, hi
-
-        cells = [shrink(lo, hi, lambda a, b: any(a <= r <= b for r in rational))
-                 for lo, hi in cells]
-        cells.sort()
+        # push the endpoints off the rational roots, then apart
+        cells = sorted(_narrow(chain, lo, hi, lambda a, b: any(a <= r <= b for r in rational))
+                       for lo, hi in _cells(chain, -bound, bound))
         for k in range(1, len(cells)):
             prev_hi = cells[k - 1][1]
-            cells[k] = shrink(*cells[k], exclude=lambda a, b: a <= prev_hi)
+            cells[k] = _narrow(chain, *cells[k], lambda a, b: a <= prev_hi)
         out.extend(IsolatingInterval(lo, hi) for lo, hi in cells)
     out.sort(key=lambda iv: (iv.lower, iv.upper))
     return out
@@ -278,12 +261,11 @@ def isolate_real_roots(p):
 
 def refine_interval(p, interval, width):
     """Shrink an isolating interval below `width` by sign-change bisection."""
+    if width <= 0:
+        raise DomainError("refinement width must be positive")
     if interval.exact:
         return interval
-    c, _ = _dense_from_poly(p) if isinstance(p, Polynomial) else (_strip([Fraction(v) for v in p]), 0)
-    q = _to_integer(_squarefree(c))
-    for r in _rational_roots(q):
-        q = _exact_div(q, [-r, Fraction(1)])
+    _, q = _prepare(p)
     lo, hi = interval.lower, interval.upper
     slo = _eval(q, lo)
     shi = _eval(q, hi)
@@ -374,10 +356,6 @@ class TrueDesc(Desc):
 
 def desc_and(*parts):
     return And(tuple(parts)) if parts else TrueDesc()
-
-
-def desc_or(*parts):
-    return Or(tuple(parts))
 
 
 def atom(poly, rel):

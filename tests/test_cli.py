@@ -135,6 +135,24 @@ x1^2 - 2
     assert all(line.startswith("interval") for line in lines)
 
 
+@pytest.mark.parametrize("flag, code", [
+    (["--width", "0"], 3), (["--width=-1/2"], 3),     # nonpositive: domain error
+    (["--width", "abc"], 2), (["--width", "1/0"], 2),  # malformed: parse error
+])
+def test_roots_bad_width(tmp_path, capsys, flag, code):
+    path = write(tmp_path, "roots.txt", "[ring]\nx = x1\n[poly]\nx1^2 - 2\n")
+    got, out, err = run_cli(capsys, ["roots", path] + flag)
+    assert got == code and out == ""
+    assert err.startswith("error:" if code == 3 else "parse error:")
+
+
+@pytest.mark.parametrize("order", ["block:x", "block:", "revlex"])
+def test_bad_order_option_is_parse_error(tmp_path, capsys, order):
+    path = write(tmp_path, "gb.txt", GB_MANIFEST)
+    code, out, err = run_cli(capsys, ["gb", path, "--order", order])
+    assert code == 2 and out == "" and err.startswith("parse error:")
+
+
 def test_witness(tmp_path, capsys):
     text = """
 [ring]

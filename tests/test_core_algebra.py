@@ -53,8 +53,8 @@ def test_poly_mul_expand_by_hand():
     f = P(RXYZ, "x^2 - z*y^2")
     y = Polynomial.variable(RXYZ, "y")
     g = f * y
-    assert g.coeff_of((2, 1, 0)) == 1
-    assert g.coeff_of((0, 3, 1)) == -1
+    assert g.terms.get((2, 1, 0), 0) == 1
+    assert g.terms.get((0, 3, 1), 0) == -1
     assert len(g.terms) == 2
 
 

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,9 @@ from diffmod.errors import DomainError
 from diffmod.poly import Polynomial, Ring
 from diffmod.realroots import (IsolatingInterval, SemialgebraicDescription,
                                atom, cauchy_bound, count_roots_between,
-                               desc_and, desc_or, find_witness_point,
+                               desc_and, find_witness_point,
                                isolate_real_roots, refine_interval,
-                               sturm_chain_dense, sturm_sequence,
-                               _squarefree, _to_integer)
+                               sturm_chain_dense, _squarefree, _to_integer)
 
 R1 = Ring(("x",), "x")
 
@@ -188,8 +188,8 @@ def _dense(p):
 # -- Sturm chain ----------------------------------------------------------
 
 def test_sturm_chain_linear():
-    chain = sturm_sequence(P("x"))
-    assert [c.text() for c in chain] == ["x", "1"]
+    chain = sturm_chain_dense(_dense(P("x")))
+    assert chain == [[0, 1], [1]]
 
 
 def test_sturm_counts_roots_of_quadratic():
@@ -204,11 +204,6 @@ def test_sturm_on_square():
     assert count_roots_between(chain, Fraction(-10), Fraction(10)) == 1
     ivs = isolate_real_roots(p)
     assert len(ivs) == 1 and ivs[0].exact and ivs[0].lower == 1
-
-
-def test_sturm_rejects_zero():
-    with pytest.raises(DomainError):
-        sturm_sequence(Polynomial.zero(R1))
 
 
 # -- isolation -------------------------------------------------------------
@@ -243,6 +238,50 @@ def test_refinement_keeps_sign_change():
     assert narrow.width() < Fraction(1, 10 ** 6)
     assert (_eval_dense(_dense(p), narrow.lower) < 0) != (_eval_dense(_dense(p), narrow.upper) < 0)
     assert narrow.lower ** 2 < 2 < narrow.upper ** 2
+
+
+def _within(seconds, fn):
+    """fn() under an alarm, so that a cost cliff fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("took more than %d s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _isolate_and_refine(p):
+    return [refine_interval(p, iv, Fraction(1, 10 ** 6)) for iv in isolate_real_roots(p)]
+
+
+@pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2)])
+def test_refinement_rejects_nonpositive_width(width):
+    p = P("x^2 - 2")
+    for iv in isolate_real_roots(p) + [IsolatingInterval(Fraction(1), Fraction(1), exact=True)]:
+        with pytest.raises(DomainError):
+            _within(5, lambda: refine_interval(p, iv, width))
+
+
+def test_no_cliff_on_large_constant_term():
+    # trial division up to sqrt(10^30) would never finish
+    p = P("x^3 - 7*x + %d" % 10 ** 30)
+    [iv] = _within(5, lambda: _isolate_and_refine(p))
+    assert not iv.exact and iv.width() < Fraction(1, 10 ** 6)
+    d = _dense(p)
+    assert (_eval_dense(d, iv.lower) < 0) != (_eval_dense(d, iv.upper) < 0)
+
+
+def test_large_rational_root_found_exactly():
+    x = P("x")
+    p = (x * (10 ** 9 + 7) - (10 ** 12 + 39)) * (x * x - 2)
+    ivs = _within(5, lambda: _isolate_and_refine(p))
+    assert [iv.exact for iv in ivs] == [False, False, True]
+    assert ivs[2].lower == Fraction(10 ** 12 + 39, 10 ** 9 + 7)
+    for iv in ivs[:2]:
+        assert (iv.lower ** 2 < 2) != (iv.upper ** 2 < 2)
 
 
 def test_isolation_matches_scan_oracle_random():

@@ -240,5 +240,5 @@ def test_factor_rational_roundtrip():
         prod = prod * f ** k
     # same polynomial up to the dropped rational constant
     mono = next(iter(prod.terms))
-    ratio = p.coeff_of(mono) / prod.coeff_of(mono)
+    ratio = p.terms.get(mono, 0) / prod.terms.get(mono, 0)
     assert prod * ratio == p
