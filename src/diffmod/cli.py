@@ -24,7 +24,7 @@ from .manifest import (need, parse_desc_section, parse_operator_lines,
 from .orders import ModuleOrder
 from .pipeline import main_mclosure
 from .quasimonic import QuasiMonic, reduce_mod_powers
-from .realroots import find_witness_point, isolate_real_roots, refine_interval
+from .realroots import find_witness_point, isolate_real_roots
 from .vanishing import vanishing_ideal
 
 
@@ -171,10 +171,7 @@ def cmd_roots(text, args):
             width = Fraction(args.width)
         except (ValueError, ZeroDivisionError):
             raise ManifestError("bad --width %r" % args.width) from None
-    intervals = isolate_real_roots(p)
-    if width is not None:
-        intervals = [refine_interval(p, iv, width) for iv in intervals]
-    for iv in intervals:
+    for iv in isolate_real_roots(p, width):
         if iv.exact:
             print("root %s" % iv.lower)
         else:

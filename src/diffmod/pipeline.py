@@ -21,7 +21,10 @@ the results intersect.
 Main: a stratified semialgebraic operator, given per stratum by a
 rational coefficient table over lifted coefficient slots; each stratum
 contributes a module through stage IV and a linear pullback, and the
-final module is the intersection over the strata.
+final module is the intersection over the strata.  Stage IV runs once
+per distinct (ring, annihilators, reduced vanishing-ideal basis, lifted
+operator) of one call, since U and the witness act only through the
+vanishing ideal and T only after stage IV; repeats reuse its module.
 """
 
 from __future__ import annotations
@@ -403,12 +406,20 @@ def main_mclosure(sop, check_samples=0, seed=0):
     amb = Ring.make(nx=sop.n)
     logs = []
     result = None
+    parts = {}   # stratum key -> ModuleResult, for this call only
     for snum, os in enumerate(sop.strata):
         st = os.stratum
         _note(logs, "stratum", snum)
         op = lift_operator(os.entries, st.ring, sop.j, st.n, st.m, st.p)
         vanishing = complexify(st)
-        part = algorithm_IV(st, op, vanishing)
+        # everything algorithm_IV reads, as canonical text; the arity j is
+        # the same for every stratum
+        key = (st.ring.names, st.ring.blocks, (st.n, st.m, st.p),
+               tuple(p.text() for p in st.anns_y + st.anns_z),
+               tuple(g.text() for g in vanishing.groebner().gens), op.text())
+        if key not in parts:
+            parts[key] = algorithm_IV(st, op, vanishing)
+        part = parts[key]
         logs.extend("s%d.%s" % (snum, line) for line in part.provenance)
         if check_samples:
             check_on_stratum(st, op, part.basis, vanishing,

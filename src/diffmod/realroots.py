@@ -237,35 +237,9 @@ def _prepare(p):
     return rational, q
 
 
-def isolate_real_roots(p):
-    """Disjoint isolating intervals, one per distinct real root of p.
-
-    Rational roots come back as exact points; the remaining roots as
-    intervals on which the square-free part changes sign.
-    """
-    rational, q2 = _prepare(p)
-    out = [IsolatingInterval(r, r, exact=True) for r in rational]
-    if _deg(q2) >= 1:
-        chain = sturm_chain_dense(q2)
-        bound = cauchy_bound(q2)
-        # push the endpoints off the rational roots, then apart
-        cells = sorted(_narrow(chain, lo, hi, lambda a, b: any(a <= r <= b for r in rational))
-                       for lo, hi in _cells(chain, -bound, bound))
-        for k in range(1, len(cells)):
-            prev_hi = cells[k - 1][1]
-            cells[k] = _narrow(chain, *cells[k], lambda a, b: a <= prev_hi)
-        out.extend(IsolatingInterval(lo, hi) for lo, hi in cells)
-    out.sort(key=lambda iv: (iv.lower, iv.upper))
-    return out
-
-
-def refine_interval(p, interval, width):
-    """Shrink an isolating interval below `width` by sign-change bisection."""
-    if width <= 0:
-        raise DomainError("refinement width must be positive")
-    if interval.exact:
-        return interval
-    _, q = _prepare(p)
+def _refine(q, interval, width):
+    """Shrink an interval on which q changes sign below `width` by
+    sign-change bisection."""
     lo, hi = interval.lower, interval.upper
     slo = _eval(q, lo)
     shi = _eval(q, hi)
@@ -279,6 +253,42 @@ def refine_interval(p, interval, width):
         else:
             hi, shi = mid, sm
     return IsolatingInterval(lo, hi)
+
+
+def isolate_real_roots(p, width=None):
+    """Disjoint isolating intervals, one per distinct real root of p.
+
+    Rational roots come back as exact points; the remaining roots as
+    intervals on which the square-free part changes sign, each refined
+    below `width` when one is given.
+    """
+    if width is not None and width <= 0:
+        raise DomainError("refinement width must be positive")
+    rational, q2 = _prepare(p)
+    out = [IsolatingInterval(r, r, exact=True) for r in rational]
+    if _deg(q2) >= 1:
+        chain = sturm_chain_dense(q2)
+        bound = cauchy_bound(q2)
+        # push the endpoints off the rational roots, then apart
+        cells = sorted(_narrow(chain, lo, hi, lambda a, b: any(a <= r <= b for r in rational))
+                       for lo, hi in _cells(chain, -bound, bound))
+        for k in range(1, len(cells)):
+            prev_hi = cells[k - 1][1]
+            cells[k] = _narrow(chain, *cells[k], lambda a, b: a <= prev_hi)
+        for lo, hi in cells:
+            iv = IsolatingInterval(lo, hi)
+            out.append(iv if width is None else _refine(q2, iv, width))
+    out.sort(key=lambda iv: (iv.lower, iv.upper))
+    return out
+
+
+def refine_interval(p, interval, width):
+    """Shrink an isolating interval below `width` by sign-change bisection."""
+    if width <= 0:
+        raise DomainError("refinement width must be positive")
+    if interval.exact:
+        return interval
+    return _refine(_prepare(p)[1], interval, width)
 
 
 # -- sign conditions and semialgebraic descriptions ----------------------

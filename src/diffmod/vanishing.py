@@ -34,33 +34,14 @@ from .realroots import (SemialgebraicDescription, TrueDesc, enumerate_points,
                         isolate_real_roots)
 
 
-# -- sympy conversion (used for factorization only) ------------------------
-
-def _to_sympy(p, syms):
-    expr = sympy.Integer(0)
-    for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, e in zip(syms, m):
-            if e:
-                term *= s ** e
-        expr += term
-    return expr
-
-
-def _from_sympy(expr, ring, syms):
-    poly = sympy.Poly(expr, *syms)
-    terms = {}
-    for mono, coeff in poly.terms():
-        q = sympy.Rational(coeff)
-        terms[tuple(mono)] = Fraction(int(q.p), int(q.q))
-    return Polynomial(ring, terms)
-
-
 def factor_rational(p):
     """Irreducible factors of p over Q as (factor, multiplicity) pairs."""
-    syms = [sympy.Symbol(n) for n in p.ring.names]
-    _, factors = sympy.factor_list(_to_sympy(p, syms))
-    return [(_from_sympy(f, p.ring, syms), int(k)) for f, k in factors]
+    poly = sympy.Poly.from_dict(
+        {m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()},
+        *[sympy.Symbol(n) for n in p.ring.names], domain=sympy.QQ)
+    _, factors = poly.factor_list()
+    return [(Polynomial(p.ring, {m: Fraction(int(c.p), int(c.q)) for m, c in f.terms()}), k)
+            for f, k in factors]
 
 
 # -- strata -----------------------------------------------------------------

@@ -140,10 +140,12 @@ x1^2 - 2
     (["--width", "abc"], 2), (["--width", "1/0"], 2),  # malformed: parse error
 ])
 def test_roots_bad_width(tmp_path, capsys, flag, code):
-    path = write(tmp_path, "roots.txt", "[ring]\nx = x1\n[poly]\nx1^2 - 2\n")
-    got, out, err = run_cli(capsys, ["roots", path] + flag)
-    assert got == code and out == ""
-    assert err.startswith("error:" if code == 3 else "parse error:")
+    # the width is checked whether or not the polynomial has real roots
+    for poly in ("x1^2 - 2", "x1^2 + 1"):
+        path = write(tmp_path, "roots.txt", "[ring]\nx = x1\n[poly]\n%s\n" % poly)
+        got, out, err = run_cli(capsys, ["roots", path] + flag)
+        assert got == code and out == ""
+        assert err.startswith("error:" if code == 3 else "parse error:")
 
 
 @pytest.mark.parametrize("order", ["block:x", "block:", "revlex"])

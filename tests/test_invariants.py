@@ -1,7 +1,12 @@
 """Spec-level invariants that do not fit a single module's test file."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+
+import diffmod
 
 from diffmod.groebner import ideal, intersect, module_equal, normal_form
 from diffmod.operators import LinearDiffOp, lift_operator
@@ -70,3 +75,14 @@ def test_provenance_logs_degree_data():
     text = "\n".join(res.provenance)
     assert "D1_box" in text and "D3" in text and "stage1_l" in text
     assert "rewrite_D" in text
+
+
+def test_core_imports_leave_sympy_out():
+    # sympy costs most of the start-up time and memory of a fresh process;
+    # only the vanishing layer factors with it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diffmod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, diffmod, diffmod.groebner; "
+            "sys.exit('sympy' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+from diffmod import pipeline
 from diffmod.errors import StructuralError
 from diffmod.groebner import (SubmoduleBasis, full_module, ideal,
                               module_equal, normal_form)
+from diffmod.manifest import parse_operator_manifest
 from diffmod.operators import LinearDiffOp, mclosure_poly_coeffs, zero_op
 from diffmod.pipeline import (OperatorStratum, StratifiedOperator, algorithm_I,
                               algorithm_II, algorithm_IV, check_on_stratum,
@@ -346,3 +349,70 @@ def test_main_indicator_on_ray():
     amb = res.basis.ring
     want = ideal(amb, [Polynomial.variable(amb, 0), Polynomial.variable(amb, 1)])
     assert module_equal(res.basis, want)
+
+
+# -- one stage-IV computation per distinct stratum ------------------------------
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def _counting(monkeypatch, name):
+    """Count the calls main_mclosure makes to pipeline.<name>."""
+    calls = []
+    inner = getattr(pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def _positive_indicator():
+    return parse_operator_manifest((MANIFESTS / "level_set_positive_indicator.txt").read_text())
+
+
+def test_main_computes_each_distinct_stratum_once(monkeypatch):
+    # the four 2-D sheets share one stage-IV input, and so do the repeated
+    # 1-D branches: 12 strata, 5 distinct; each stratum is still checked
+    stage4 = _counting(monkeypatch, "algorithm_IV")
+    vanishing = _counting(monkeypatch, "complexify")
+    checks = _counting(monkeypatch, "check_on_stratum")
+    main_mclosure(_positive_indicator(), check_samples=1)
+    assert (len(stage4), len(vanishing), len(checks)) == (5, 12, 12)
+
+
+CROSSING_LINES = """
+[operator]
+n = 2
+j = 1
+k = 1
+""" + "".join("""
+[stratum]
+n = 1
+m = 1
+p = 1
+U = true
+anny 1 = y1^2 - x1^2
+annz 1 = z1 - 1
+witness = %s
+[coeffs]
+1 ; 1 ; (1) ; (0) ; 1
+""" % w for w in ("1, 1, 1", "2, -2, 1"))
+
+
+def test_main_no_sharing_across_different_vanishing_ideals(monkeypatch):
+    # same annihilator, witnesses on the factors y1 - x1 and y1 + x1
+    stage4 = _counting(monkeypatch, "algorithm_IV")
+    res = main_mclosure(parse_operator_manifest(CROSSING_LINES))
+    assert len(stage4) == 2
+    assert [g.text() for g in res.basis.gens] == ["x1^4 - 2*x1^2*x2^2 + x2^4"]
+
+
+def test_main_basis_independent_of_stratum_order():
+    sop = _positive_indicator()
+    forward = main_mclosure(sop)
+    backward = main_mclosure(StratifiedOperator(sop.n, sop.j, sop.k, sop.strata[::-1]))
+    assert sorted(g.text() for g in backward.basis.gens) == \
+        sorted(g.text() for g in forward.basis.gens)

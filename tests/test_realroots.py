@@ -263,6 +263,10 @@ def test_refinement_rejects_nonpositive_width(width):
     for iv in isolate_real_roots(p) + [IsolatingInterval(Fraction(1), Fraction(1), exact=True)]:
         with pytest.raises(DomainError):
             _within(5, lambda: refine_interval(p, iv, width))
+    # rejected before isolation, so also without any real root
+    for q in (p, P("x - 1"), P("x^2 + 1")):
+        with pytest.raises(DomainError):
+            isolate_real_roots(q, width)
 
 
 def test_no_cliff_on_large_constant_term():

@@ -101,9 +101,12 @@ def render():
         if p.degree() < 1:
             continue
         ivs = isolate_real_roots(p)
+        refined = [refine_interval(p, iv, WIDTH) for iv in ivs]
+        # the CLI's one-pass path must refine exactly as interval by interval
+        assert isolate_real_roots(p, WIDTH) == refined
         lines.append("# %d %s" % (k, p.text()))
         lines.append("iso " + " ".join(str(iv) for iv in ivs))
-        lines.append("ref " + " ".join(str(refine_interval(p, iv, WIDTH)) for iv in ivs))
+        lines.append("ref " + " ".join(str(iv) for iv in refined))
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from diffmod.errors import UnsupportedInputError, WitnessSearchError
 from diffmod.groebner import buchberger, ideal, module_equal, normal_form
@@ -242,3 +243,46 @@ def test_factor_rational_roundtrip():
     mono = next(iter(prod.terms))
     ratio = p.terms.get(mono, 0) / prod.terms.get(mono, 0)
     assert prod * ratio == p
+
+
+def _up_to_scalar(f):
+    """Text of f scaled so that its leading term has coefficient 1."""
+    lead = f.sorted_terms()[0][1]
+    return (f * (1 / lead)).text()
+
+
+def _expression_factor_list(p):
+    """Reference: sympy's expression-level factor_list, read back by Poly."""
+    syms = [sympy.Symbol(n) for n in p.ring.names]
+    expr = sympy.Add(*[sympy.Rational(c.numerator, c.denominator) *
+                       sympy.Mul(*[s ** e for s, e in zip(syms, m)])
+                       for m, c in p.terms.items()])
+    _, factors = sympy.factor_list(expr)
+    out = []
+    for f, k in factors:
+        terms = {tuple(m): Fraction(int(c.p), int(c.q))
+                 for m, c in sympy.Poly(f, *syms).terms()}
+        out.append((Polynomial(p.ring, terms), int(k)))
+    return out
+
+
+def test_factor_rational_matches_expression_path():
+    ring = Ring.make(nx=2, ny=1)
+    rng = random.Random(606)
+    for _ in range(12):
+        p = Polynomial.constant(ring, Fraction(rng.randint(1, 9), rng.randint(2, 9)))
+        for k in (1, 1, 2):     # one repeated factor
+            f = random_polynomial(rng, ring, deg=2, nterms=3, height=5)
+            if f.degree() >= 1:
+                p = p * f ** k
+        if p.degree() < 1:
+            continue
+        got = factor_rational(p)
+        want = _expression_factor_list(p)
+        assert sorted((_up_to_scalar(f), k) for f, k in got) == \
+            sorted((_up_to_scalar(f), k) for f, k in want)
+        prod = Polynomial.one(ring)
+        for f, k in got:
+            prod = prod * f ** k
+        mono = next(iter(prod.terms))
+        assert prod * (p.terms[mono] / prod.terms[mono]) == p
