@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every subcommand reads a manifest file (or stdin with '-') and prints a
-deterministic result: identical input, flags and seed give byte-identical
-output.  Exit codes: 0 success, 2 parse error, 3 domain/structural error,
+deterministic result: identical input and flags give byte-identical output.
+Exit codes: 0 success, 2 parse error, 3 domain/structural error,
 4 unsupported input.
 """
 
@@ -232,7 +232,7 @@ def cmd_vanish(text, args):
 
 def cmd_mclosure(text, args):
     sop = parse_operator_manifest(text)
-    res = main_mclosure(sop, check_samples=10 if args.check else 0, seed=args.seed)
+    res = main_mclosure(sop, check_samples=args.check)
     if args.log:
         for line in res.provenance:
             print("# %s" % line)
@@ -268,13 +268,12 @@ def build_parser():
                     help="override the [ring] order: lex, grevlex or block:K; gb and "
                     "nf compute under it, the other commands except vanish and "
                     "mclosure print under it")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=int, default=20000)
     ap.add_argument("--width", default=None, help="refine root intervals below this width")
     ap.add_argument("--log", action="store_true", help="emit the provenance ledger")
     ap.add_argument("--check", action="store_true",
-                    help="re-run the soundness sampling (10 samples per generator) "
-                    "before printing")
+                    help="certify the result exactly on every stratum before printing "
+                    "(mclosure; exit 3 if it fails)")
     return ap
 
 

@@ -99,11 +99,11 @@ def mono_cmp(order, a, b):
 class ModuleOrder:
     """Order on module monomials (component, monomial).
 
-    scheme 'top' compares monomials first (term over position), 'pot'
-    compares components first.  `comp_elim` marks a leading component
-    block that outweighs everything else; it is how syzygy and
-    projection computations eliminate components.  Lower component
-    index wins ties, so e_0 > e_1 > ... at equal monomials.
+    scheme 'top' compares monomials first (term over position).
+    `comp_elim` marks a leading component block that outweighs everything
+    else; it is how syzygy and projection computations eliminate
+    components.  Lower component index wins ties, so e_0 > e_1 > ... at
+    equal monomials.
     """
 
     mono_order: MonomialOrder
@@ -114,8 +114,6 @@ class ModuleOrder:
         blockflag = 1 if comp < self.comp_elim else 0
         if self.scheme == "top":
             return (blockflag, self.mono_order.key(mono), -comp)
-        if self.scheme == "pot":
-            return (blockflag, -comp, self.mono_order.key(mono))
         raise StructuralError("unknown module order scheme %r" % self.scheme)
 
 

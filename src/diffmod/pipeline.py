@@ -29,7 +29,6 @@ vanishing ideal and T only after stage IV; repeats reuse its module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -39,7 +38,9 @@ from .groebner import (SubmoduleBasis, buchberger, critical_l, full_module,
                        intersect, normal_form)
 from .operators import (build_tangent_frame, eliminate_x_derivatives,
                         lift_operator)
-from .poly import Polynomial, PolyVec, Ring, linear_change_of_vars
+from .poly import (Polynomial, PolyVec, Ring, linear_change_of_vars,
+                   mat_inverse)
+from .quasimonic import delta_of
 from .vanishing import Stratum, complexify
 
 
@@ -161,9 +162,7 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     anns = stratum.annihilators()
     m_ord = max(op.order(), 0)
     power = m_ord + 1
-    delta = Polynomial.one(ring)
-    for qm in anns:
-        delta = delta * qm.lead
+    delta = delta_of(anns, ring)
 
     ring_x = Ring.make(nx=stratum.n)
 
@@ -276,9 +275,7 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     zanns = stratum.annihilators()[stratum.m:]
     m_ord = max(op.order(), 0)
     power = m_ord + 1
-    delta_hat = Polynomial.one(ring)
-    for qm in zanns:
-        delta_hat = delta_hat * qm.lead
+    delta_hat = delta_of(zanns, ring)
 
     if not pk:
         _note(logs, "stage2", "inner-module-zero")
@@ -402,11 +399,19 @@ class StratifiedOperator:
 def main_mclosure(sop, check_samples=0, seed=0):
     """Generators of the module of polynomial vectors P with L(Q P) = 0 on
     all of ambient space for every polynomial Q, for the stratified
-    semialgebraic operator L described by `sop`."""
+    semialgebraic operator L described by `sop`.
+
+    A true `check_samples` switches on the exact certificate of
+    `check_on_stratum`: after the intersection, each stratum checks its
+    own stage-IV generators and the returned generators, pulled back
+    through its T^-1, against its vanishing ideal and lifted operator.
+    The count itself and `seed` are ignored; both are still accepted."""
     amb = Ring.make(nx=sop.n)
+    ident = {i: i for i in range(sop.n)}
     logs = []
     result = None
     parts = {}   # stratum key -> ModuleResult, for this call only
+    checks = []
     for snum, os in enumerate(sop.strata):
         st = os.stratum
         _note(logs, "stratum", snum)
@@ -422,13 +427,12 @@ def main_mclosure(sop, check_samples=0, seed=0):
         part = parts[key]
         logs.extend("s%d.%s" % (snum, line) for line in part.provenance)
         if check_samples:
-            check_on_stratum(st, op, part.basis, vanishing,
-                             nsamples=check_samples, seed=seed + snum)
+            checks.append((os, op, vanishing, part.basis))
         gens = []
         for g in part.basis.gens:
             comps = []
             for p in g.comps:
-                q = p.lift(amb, {i: i for i in range(sop.n)})
+                q = p.lift(amb, ident)
                 if os.t_ambient is not None:
                     q = linear_change_of_vars(q, os.t_ambient)
                 comps.append(q)
@@ -441,40 +445,45 @@ def main_mclosure(sop, check_samples=0, seed=0):
         result = full_module(amb, sop.j)
     if result.gens:
         result = buchberger(result)
+    for os, op, vanishing, local in checks:
+        pulled = result.gens
+        if os.t_ambient is not None:
+            tinv = mat_inverse(os.t_ambient)
+            pulled = [linear_change_of_vars(g, tinv) for g in pulled]
+        gens = local.gens + tuple(PolyVec([p.lift(local.ring, ident) for p in g.comps])
+                                  for g in pulled)
+        check_on_stratum(os.stratum, op, SubmoduleBasis(local.ring, sop.j, gens),
+                         vanishing)
     return ModuleResult(result, logs)
 
 
-# -- soundness sampling ---------------------------------------------------------
+# -- exact soundness certificate ----------------------------------------------
 
-def random_polynomial_over(rng, ring, deg, height=4, nterms=4):
-    terms = {}
-    for _ in range(nterms):
-        mono = [0] * ring.nvars
-        for _ in range(rng.randint(0, deg)):
-            mono[rng.randrange(ring.nvars)] += 1
-        c = Fraction(rng.randint(-height, height), rng.randint(1, height))
-        if c:
-            terms[tuple(mono)] = terms.get(tuple(mono), Fraction(0)) + c
-    return Polynomial(ring, {m: c for m, c in terms.items() if c})
+def check_on_stratum(stratum, op, basis, vanishing=None, nsamples=None, seed=None):
+    """Exact soundness certificate: raise DomainError unless op(x^g P)
+    reduces to zero against the stratum's vanishing ideal I for every
+    generator P and every monomial x^g in the variables op differentiates
+    with |g| <= ord op.
 
-
-def check_on_stratum(stratum, op, basis, vanishing=None, nsamples=20, seed=0):
-    """Exact soundness check: for every generator P and sampled Q, the value
-    op(Q P) reduces to zero against the stratum's vanishing ideal."""
+    That finite set covers every polynomial multiplier Q.  A variable op
+    does not differentiate commutes with op, and I is an ideal, so only
+    monomials in the differentiated variables matter.  For one of those,
+    op(x_i R) = x_i op(R) + [op, x_i](R), where [op, x_i] has lower order
+    and differentiates no new variable; induction on the order, then on
+    |g|, reduces every x^g to the checked ones.  `nsamples` and `seed`
+    are ignored; they are still accepted."""
     ring = stratum.ring
     if vanishing is None:
         vanishing = complexify(stratum)
     gb = vanishing.groebner()
-    rng = random.Random(seed)
-    deg = max(op.order(), 0) + 2
+    mults = [Polynomial.monomial(ring, m) for m in
+             _total_monomials(ring, sorted(op.derivative_vars()), op.order())]
     lift_map = {i: i for i in range(stratum.n + stratum.m)}
     for g in basis.gens:
         if g.ring.nvars != ring.nvars:
             g = PolyVec([p.lift(ring, lift_map) for p in g.comps])
-        for _ in range(nsamples):
-            q = random_polynomial_over(rng, ring, deg)
-            val = op.apply(g.scale(q))
-            if not normal_form(val, gb).is_zero():
-                raise DomainError("soundness sampling failed: generator is not "
-                                  "annihilated on the stratum")
+        for q in mults:
+            if not normal_form(op.apply(g.scale(q)), gb).is_zero():
+                raise DomainError("soundness certificate failed: generator is "
+                                  "not annihilated on the stratum")
     return True

@@ -342,18 +342,6 @@ class Polynomial:
             out[tuple(m2)] = c
         return Polynomial(ring, out)
 
-    def content(self):
-        """Positive rational c with self/c integer, primitive; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
     # -- text form ------------------------------------------------------
 
     def text(self, order=None):

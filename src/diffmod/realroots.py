@@ -388,6 +388,9 @@ class SemialgebraicDescription:
 
 # -- rational witness search ---------------------------------------------
 
+_MAX_HEIGHT = 12   # witness coordinates are searched up to this height
+
+
 def rationals_by_height(max_height):
     """0, 1, -1, 1/2, -1/2, 2, -2, ... ordered by height max(|num|, den)."""
     yield Fraction(0)
@@ -401,7 +404,7 @@ def rationals_by_height(max_height):
                 yield Fraction(-num, den)
 
 
-def enumerate_points(desc, budget=20000, max_height=12):
+def enumerate_points(desc, budget=20000):
     """Yield rational points satisfying `desc`, coordinates enumerated by
     ascending height, spending at most `budget` full-point evaluations.
 
@@ -416,7 +419,7 @@ def enumerate_points(desc, budget=20000, max_height=12):
         return
     conds = desc.conditions()
     budget_left = [budget]
-    candidates = list(rationals_by_height(max_height))
+    candidates = list(rationals_by_height(_MAX_HEIGHT))
 
     def viable(assignment):
         for cond in conds:
@@ -446,11 +449,11 @@ def enumerate_points(desc, budget=20000, max_height=12):
     yield from search(0, {})
 
 
-def find_witness_point(desc, avoid=(), budget=20000, max_height=12):
+def find_witness_point(desc, avoid=(), budget=20000):
     """A rational point satisfying `desc` with every avoid-polynomial
     nonzero, or None when the bounded search exhausts its budget.
     Never returns an unverified point."""
-    for point in enumerate_points(desc, budget=budget, max_height=max_height):
+    for point in enumerate_points(desc, budget=budget):
         if all(p.evaluate(point) != 0 for p in avoid):
             return point
     return None

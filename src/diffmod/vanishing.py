@@ -29,7 +29,7 @@ from .errors import (DomainError, StructuralError, UnsupportedInputError,
                      WitnessSearchError)
 from .groebner import SubmoduleBasis, buchberger, ideal, intersect, saturate
 from .poly import Polynomial, Ring, linear_change_of_vars, mat_det
-from .quasimonic import QuasiMonic
+from .quasimonic import QuasiMonic, delta_of
 from .realroots import (SemialgebraicDescription, TrueDesc, enumerate_points,
                         isolate_real_roots)
 
@@ -188,9 +188,7 @@ def select_component(system, witness):
             "several nonlinear graph coordinates: the component through the "
             "witness may not be cut out by the chosen factors")
 
-    lead_prod = Polynomial.one(ring)
-    for qm in chosen:
-        lead_prod = lead_prod * qm.lead
+    lead_prod = delta_of(chosen, ring)
     if lead_prod.evaluate(witness) == 0:
         raise UnsupportedInputError("leading coefficient vanishes at the witness")
 
@@ -203,7 +201,10 @@ def select_component(system, witness):
 
 # -- witness search for strata -------------------------------------------------
 
-def _stratum_witness(stratum, budget=20000, tries=200):
+_WITNESS_TRIES = 200   # base points tried before the search gives up
+
+
+def _stratum_witness(stratum, budget=20000):
     """Find (x0, graph values) with nonzero annihilator derivatives, or fail.
 
     Only unambiguous strata are searched: every annihilator must have a
@@ -215,7 +216,7 @@ def _stratum_witness(stratum, budget=20000, tries=200):
     tried = 0
     for base in enumerate_points(stratum.u_desc, budget=budget):
         tried += 1
-        if tried > tries:
+        if tried > _WITNESS_TRIES:
             break
         values = {i: v for i, v in enumerate(base)}
         ok = True

@@ -434,3 +434,29 @@ witness = 1, 1, 1
     code, out, err = run_cli(capsys, ["vanish", path])
     assert code == 4
     assert "unsupported" in err
+
+
+def test_mclosure_check_certifies_the_printed_generators(tmp_path, capsys, monkeypatch):
+    # row (1,0;1) on the 2-D sheets of the positive level set: the module is
+    # (f^3); a final basis that prints f^2 instead must fail --check
+    import pathlib
+    from diffmod import groebner, pipeline
+    from diffmod.poly import Polynomial
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "manifests"
+    text = (root / "level_set_positive_indicator.txt").read_text()
+    path = write(tmp_path, "op.txt", text.replace(
+        "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (1,0) ; (1) ; 1"))
+
+    def drop_a_power(basis):
+        f = Polynomial.parse(basis.ring, "x2^2*x3 - x1^2")
+        assert [g[0] for g in groebner.buchberger(basis).gens] == [f ** 3]
+        return groebner.SubmoduleBasis(basis.ring, 1, [f ** 2])
+
+    monkeypatch.setattr(pipeline, "buchberger", drop_a_power)
+    code, _, err = run_cli(capsys, ["mclosure", path, "--check"])
+    assert code == 3
+    assert "soundness certificate failed" in err
+    code, out, _ = run_cli(capsys, ["mclosure", path])
+    assert code == 0
+    assert out.splitlines() == ["x2^4*x3^2 - 2*x1^2*x2^2*x3 + x1^4"]

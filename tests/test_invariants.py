@@ -1,5 +1,6 @@
 """Spec-level invariants that do not fit a single module's test file."""
 
+import ast
 import os
 import random
 import subprocess
@@ -86,3 +87,22 @@ def test_core_imports_leave_sympy_out():
     code = ("import sys, diffmod, diffmod.groebner; "
             "sys.exit('sympy' in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_no_module_imports_random():
+    # identical input and flags give byte-identical output, so no code path
+    # may draw from a seeded generator
+    pkg = os.path.dirname(os.path.abspath(diffmod.__file__))
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert "random" not in roots, name

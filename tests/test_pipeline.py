@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from diffmod import pipeline
-from diffmod.errors import StructuralError
+from diffmod.errors import DomainError, StructuralError
 from diffmod.groebner import (SubmoduleBasis, full_module, ideal,
                               module_equal, normal_form)
 from diffmod.manifest import parse_operator_manifest
-from diffmod.operators import LinearDiffOp, mclosure_poly_coeffs, zero_op
+from diffmod.operators import (LinearDiffOp, lift_operator, mclosure_poly_coeffs,
+                               zero_op)
 from diffmod.pipeline import (OperatorStratum, StratifiedOperator, algorithm_I,
                               algorithm_II, algorithm_IV, check_on_stratum,
                               graph_solution_module, main_mclosure)
@@ -82,8 +83,8 @@ def assert_matches_brute_force(stratum, op, engine_basis, degcap):
     for v in vecs:
         nf = normal_form(v, gb)
         assert nf.is_zero(), "brute-force solution missing from engine module"
-    # soundness: engine generators satisfy the sampled conditions
-    check_on_stratum(stratum, op, engine, nsamples=10, seed=7)
+    # soundness: engine generators pass the exact certificate
+    check_on_stratum(stratum, op, engine)
 
 
 # -- stage I -----------------------------------------------------------------
@@ -345,7 +346,7 @@ def test_main_indicator_on_ray():
         indicator_stratum(ray, t_ray),
         indicator_stratum(endpoint, None),
     ])
-    res = main_mclosure(sop, check_samples=5, seed=3)
+    res = main_mclosure(sop, check_samples=1)
     amb = res.basis.ring
     want = ideal(amb, [Polynomial.variable(amb, 0), Polynomial.variable(amb, 1)])
     assert module_equal(res.basis, want)
@@ -416,3 +417,24 @@ def test_main_basis_independent_of_stratum_order():
     backward = main_mclosure(StratifiedOperator(sop.n, sop.j, sop.k, sop.strata[::-1]))
     assert sorted(g.text() for g in backward.basis.gens) == \
         sorted(g.text() for g in forward.basis.gens)
+
+
+# -- exact soundness certificate -----------------------------------------------
+
+def test_certificate_uses_monomials_up_to_the_operator_order(monkeypatch):
+    # row (1,0;1) on the first 2-D sheet: the lifted operator z1*dx1*dy1
+    # differentiates x1 and y1 at order 2, so 6 multipliers x1^a*y1^b with
+    # a + b <= 2 certify each generator; the module is (x1^2*x2 - y1^2)^3
+    text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
+    os_ = parse_operator_manifest(text.replace(
+        "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (1,0) ; (1) ; 1")).strata[0]
+    st = os_.stratum
+    op = lift_operator(os_.entries, st.ring, 1, st.n, st.m, st.p)
+    basis = algorithm_IV(st, op).basis
+    f = P(basis.ring, "x1^2*x2 - y1^2")
+    assert [g[0] for g in basis.gens] == [f ** 3]
+    reductions = _counting(monkeypatch, "normal_form")
+    assert check_on_stratum(st, op, basis)
+    assert len(reductions) == 6
+    with pytest.raises(DomainError, match="soundness certificate failed"):
+        check_on_stratum(st, op, SubmoduleBasis(basis.ring, 1, [f]))
