@@ -74,6 +74,14 @@ def _ring_and_map(text, args=None, command=None):
     return ring, order, smap
 
 
+def _generators(ring, smap, name):
+    """The vectors of section [name], which must list at least one."""
+    section = need(smap, name)
+    if not section.payload:
+        raise ManifestError("[%s] lists no generators" % name, section.line)
+    return parse_vec_lines(ring, section)
+
+
 def _module_order(order):
     return ModuleOrder(order, "top")
 
@@ -108,7 +116,7 @@ def cmd_syz(text, args):
 
 def cmd_intersect(text, args):
     ring, order, smap = _ring_and_map(text, args, 'intersect')
-    left = parse_vec_lines(ring, need(smap, "left"))
+    left = _generators(ring, smap, "left")
     right = parse_vec_lines(ring, need(smap, "right"))
     j = len(left[0])
     out = intersect(SubmoduleBasis(ring, j, left), SubmoduleBasis(ring, j, right))
@@ -118,7 +126,7 @@ def cmd_intersect(text, args):
 
 def cmd_saturate(text, args):
     ring, order, smap = _ring_and_map(text, args, 'saturate')
-    vecs = parse_vec_lines(ring, need(smap, "polys"))
+    vecs = _generators(ring, smap, "polys")
     [(btext, bline)] = need(smap, "by").payload
     f = parse_poly(ring, btext, bline)
     out = saturate(SubmoduleBasis(ring, len(vecs[0]), vecs), f)
@@ -128,7 +136,7 @@ def cmd_saturate(text, args):
 
 def cmd_eliminate(text, args):
     ring, order, smap = _ring_and_map(text, args, 'eliminate')
-    vecs = parse_vec_lines(ring, need(smap, "polys"))
+    vecs = _generators(ring, smap, "polys")
     [(dtext, _)] = need(smap, "drop").payload
     drop = [v.strip() for v in dtext.split(",")]
     out = eliminate(SubmoduleBasis(ring, len(vecs[0]), vecs), drop)

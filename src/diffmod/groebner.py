@@ -23,7 +23,12 @@ modules of linear systems over the ring), intersection by the tag
 variable, elimination, module equality, and the critical exponent of
 chains M_0 <= M_1 <= ...  The critical exponent and saturation share
 one primitive: a single Groebner basis over Q[x, t] with the
-Rabinowitsch generators (t*Delta - 1) e_i, eliminating t.
+Rabinowitsch generators (t*Delta - 1) e_i, eliminating t.  Before it,
+every row with a constant entry in some A column is cleared from the
+other columns and dropped with that column, which changes no M_l.  A
+constant Delta makes the chain constant, so l0 = 0 and M_0 is one
+elimination over Q[x], with no t, no Rabinowitsch generators and no
+basis of col(A).
 """
 
 from __future__ import annotations
@@ -481,7 +486,7 @@ def solve_inhomogeneous(system):
         raise StructuralError("system has no right-hand side")
     ring = system.ring
     q = PolyVec(system.rhs)
-    mvs = _columns(system.matrix, len(system.matrix[0]))
+    mvs = [vec_to_mvec(c) for c in system.columns()]
     morder = top_order()
     gb = _buchberger_core(mvs, morder, track=True)
     rem, rep = _reduce(vec_to_mvec(q), gb, morder, rep={})
@@ -502,15 +507,59 @@ def solve_inhomogeneous(system):
 
 
 def _columns(matrix, ncols):
-    """Column mvecs of a matrix of polynomials, in one pass over its entries."""
+    """Columns of a matrix of polynomials as {row: nonzero entry}."""
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(matrix):
         for k, p in enumerate(row):
             if p.terms:
-                col = cols[k]
-                for m, c in p.terms.items():
-                    col[(i, m)] = c
+                cols[k][i] = p
     return cols
+
+
+def _prune(rows, a_cols, b_cols):
+    """Unit-pivot pre-elimination of the system Delta^l * B P in col(A).
+
+    Takes columns as `_columns` gives them and rewrites them.  For an A
+    column c whose row-r entry is a nonzero constant a, every other A and
+    B column v loses (v_r / a) * c.  Then only c reaches row r, so a
+    combination of A columns that is zero in row r has no c-part:
+    dropping row r and column c leaves every M_l the same.  Rows are taken
+    in order, each with the unit column that touches the fewest rows.
+    Returns (rows left, A mvecs, B mvecs) over the rows left.
+    """
+    na = len(a_cols)
+    cols = a_cols + b_cols
+    touching = [set() for _ in range(rows)]
+    for k, col in enumerate(cols):
+        for i in col:
+            touching[i].add(k)
+    kept = []
+    for r in range(rows):
+        units = [k for k in touching[r] if k < na and cols[k][r].is_constant()]
+        if not units:
+            kept.append(r)
+            continue
+        c = min(units, key=lambda k: (len(cols[k]), k))
+        pivot, cols[c] = cols[c], {}
+        a = pivot.pop(r).constant_value()
+        for s in pivot:
+            touching[s].discard(c)
+            pivot[s] = pivot[s] * (1 / a)
+        for k in touching[r] - {c}:
+            col = cols[k]
+            f = col.pop(r)
+            for s, e in pivot.items():
+                v = col[s] - f * e if s in col else -(f * e)
+                if v.terms:
+                    col[s] = v
+                    touching[s].add(k)
+                else:
+                    del col[s]
+                    touching[s].discard(k)
+    new = {r: i for i, r in enumerate(kept)}
+    mvs = [{(new[i], m): v for i, p in col.items() for m, v in p.terms.items()}
+           for col in cols]
+    return len(kept), mvs[:na], mvs[na:]
 
 
 def _with_tag(mv, power=0):
@@ -518,22 +567,23 @@ def _with_tag(mv, power=0):
     return {(i, m + (power,)): c for (i, m), c in mv.items()}
 
 
-def _eliminate_tag(mvs, ring, j, comp_elim=0):
-    """Vectors of ring^j in the submodule that `mvs` generate over Q[x, t].
+def _eliminate_tag(mvs, ring, j, comp_elim=0, tag=True):
+    """Vectors of ring^j in the submodule that `mvs` generate.
 
-    `mvs` live in comp_elim + j components over the ring extended by a
-    last variable t.  One Groebner basis under an order eliminating t
-    and the first comp_elim components; its elements free of both,
-    shifted down, are the reduced top-grevlex basis of the elimination
-    module.
+    `mvs` live in comp_elim + j components, over the ring extended by a
+    last variable t when `tag` is set.  One Groebner basis under an order
+    eliminating t and the first comp_elim components; its elements free of
+    both, shifted down, are the reduced top-grevlex basis of the
+    elimination module.
     """
-    tidx = ring.nvars
-    morder = ModuleOrder(elim_order([tidx]), "top", comp_elim=comp_elim)
+    nv = ring.nvars
+    morder = ModuleOrder(elim_order([nv]) if tag else grevlex_order(), "top",
+                         comp_elim=comp_elim)
     out = []
     for g in _buchberger_core(mvs, morder):
-        if any(i < comp_elim or m[tidx] for (i, m) in g.mv):
+        if any(i < comp_elim or any(m[nv:]) for (i, m) in g.mv):
             continue
-        down = {(i - comp_elim, m[:tidx]): c for (i, m), c in g.monic().items()}
+        down = {(i - comp_elim, m[:nv]): c for (i, m), c in g.monic().items()}
         out.append(mvec_to_vec(ring, j, down))
     return out
 
@@ -601,14 +651,17 @@ def critical_l(a_matrix, b_matrix, delta):
     """Critical exponent of the chain M_l = {P : Delta^l * B P in col(A)}.
 
     The chain ascends to M_inf = {P : Delta^l * B P in col(A) for some l}.
-    M_inf comes from one Groebner basis over Q[x, t] of (B_k, e_k),
-    (A_j, 0) and ((t*Delta - 1) e_i, 0), under an order eliminating the
-    row components and t (the Rabinowitsch trick): its elements free of
-    both are the reduced basis of M_inf.  For each of them the least l
-    with Delta^l * B g in col(A) is read off by normal forms against one
-    basis of col(A); l0 is the largest.  As M_l = M_l+1 forces
-    M_l+1 = M_l+2, l0 is the first index where the chain stops growing.
-    Returns (l0, basis of M_l0).
+    First `_prune` removes each row with a unit pivot in A, which leaves
+    every M_l unchanged.  M_inf comes from one Groebner basis over Q[x, t]
+    of (B_k, e_k), (A_j, 0) and ((t*Delta - 1) e_i, 0), under an order
+    eliminating the row components and t (the Rabinowitsch trick): its
+    elements free of both are the reduced basis of M_inf.  For each of
+    them the least l with Delta^l * B g in col(A) is read off by normal
+    forms against one basis of col(A); l0 is the largest.  As M_l = M_l+1
+    forces M_l+1 = M_l+2, l0 is the first index where the chain stops
+    growing.  A constant Delta, or no row left, gives M_l = M_0 for every
+    l: then l0 = 0 and M_0 comes from the same elimination without t and
+    the Rabinowitsch generators.  Returns (l0, basis of M_l0).
     """
     if delta.is_zero():
         raise DomainError("Delta must be nonzero")
@@ -620,19 +673,22 @@ def critical_l(a_matrix, b_matrix, delta):
     if a_matrix and len(a_matrix) != rows:
         raise StructuralError("A/B row mismatch")
 
-    b_cols = _columns(b_matrix, kk)
-    a_cols = _columns(a_matrix, len(a_matrix[0]) if a_matrix else 0)
-    zero = (0,) * (ring.nvars + 1)
-    mvs = []
-    for k, col in enumerate(b_cols):
-        mv = _with_tag(col)
-        mv[(rows + k, zero)] = Fraction(1)
-        mvs.append(mv)
-    mvs += [_with_tag(col) for col in a_cols]
-    rab = {m + (1,): c for m, c in delta.terms.items()}
-    rab[zero] = Fraction(-1)
-    mvs += [{(i, m): c for m, c in rab.items()} for i in range(rows)]
-    gens = _eliminate_tag(mvs, ring, kk, comp_elim=rows)
+    rows, a_cols, b_cols = _prune(
+        rows, _columns(a_matrix, len(a_matrix[0]) if a_matrix else 0),
+        _columns(b_matrix, kk))
+    tag = rows > 0 and not delta.is_constant()
+    one = (0,) * (ring.nvars + tag)
+    mvs = b_cols + a_cols
+    if tag:
+        mvs = [_with_tag(col) for col in mvs]
+        rab = {m + (1,): c for m, c in delta.terms.items()}
+        rab[one] = Fraction(-1)
+        mvs += [{(i, m): c for m, c in rab.items()} for i in range(rows)]
+    for k in range(kk):
+        mvs[k][(rows + k, one)] = Fraction(1)
+    gens = _eliminate_tag(mvs, ring, kk, comp_elim=rows, tag=tag)
+    if not tag:
+        return 0, SubmoduleBasis(ring, kk, gens, is_groebner=True)
 
     keys = _Keys(top_order())
     col_a = _index(_buchberger_core(a_cols, keys))

@@ -167,8 +167,12 @@ def select_component(system, witness):
             raise UnsupportedInputError(
                 "differentials at the witness are dependent; apply derivative "
                 "preprocessing or move the witness")
+        # a*w + b with a constant is irreducible: a factor free of w would
+        # divide a
+        factors = ([(qm.poly, 1)] if qm.deg == 1 and qm.lead.is_constant()
+                   else factor_rational(qm.poly))
         hits = []
-        for f, mult in factor_rational(qm.poly):
+        for f, mult in factors:
             if f.degree() < 1:
                 continue
             if f.evaluate(witness) == 0:

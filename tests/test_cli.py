@@ -324,6 +324,19 @@ t
     assert out.strip() == "x^2"
 
 
+@pytest.mark.parametrize("command, text, line", [
+    ("intersect", "[ring]\nx = x1\n[left]\n[right]\nx1\n", 3),
+    ("saturate", "[ring]\nx = x1\n[polys]\n[by]\nx1\n", 3),
+    ("eliminate", "[ring]\nx = t, x\n[polys]\n[drop]\nt\n", 3),
+], ids=["intersect", "saturate", "eliminate"])
+def test_empty_generator_section_is_parse_error(tmp_path, capsys, command, text, line):
+    path = write(tmp_path, "empty.txt", text)
+    code, _, err = run_cli(capsys, [command, path])
+    assert code == 2
+    assert "parse error" in err and "lists no generators" in err
+    assert "line %d" % line in err
+
+
 def test_critical_l_cli(tmp_path, capsys):
     text = """
 [ring]

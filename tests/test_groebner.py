@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from diffmod import groebner, pipeline
 from diffmod.errors import DomainError
 from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
                               critical_l, eliminate, full_module, ideal,
@@ -10,6 +12,7 @@ from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
                               poly_exact_div, saturate, solution_module,
                               solve_inhomogeneous, syzygy_module, vec_to_mvec,
                               _Gen, _reduce, _spair)
+from diffmod.manifest import parse_operator_manifest
 from diffmod.orders import ModuleOrder, grevlex_order, lex_order, top_order
 from diffmod.poly import Polynomial, PolyVec, Ring
 
@@ -18,6 +21,7 @@ from oracle import membership_by_linear_algebra, vec_membership_by_linear_algebr
 
 RXY = Ring(("x", "y"), "xx")
 RXYZ = Ring(("x", "y", "z"), "xxx")
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def P(ring, s):
@@ -222,6 +226,97 @@ def test_critical_l_is_minimal_and_saturate_matches_oracle():
             target = g.scale(f ** l0)
             deg = max(p.degree() for p in target.comps)
             assert vec_membership_by_linear_algebra(target, list(m.gens), degcap=deg + 4)
+
+
+def _counting_cores(monkeypatch):
+    calls = []
+    inner = groebner._buchberger_core
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", counted)
+    return calls
+
+
+def test_critical_l_with_a_unit_delta_builds_one_basis(monkeypatch):
+    # no entry is constant, so no row is pre-eliminated; a unit Delta
+    # needs neither the Rabinowitsch generators nor a basis of col(A)
+    x, y = P(RXY, "x"), P(RXY, "y")
+    a = [[x * y, y * y], [x, x + y]]
+    b = [[x], [y]]
+    cores = _counting_cores(monkeypatch)
+    l0, m = critical_l(a, b, Polynomial.constant(RXY, Fraction(-3, 2)))
+    assert (l0, len(cores)) == (0, 1)
+    del cores[:]
+    critical_l(a, b, x)
+    assert len(cores) == 2
+    assert module_equal(m, _chain_module(a, b, Polynomial.one(RXY), 0))
+
+
+def _with_unit_row(rng, a, b):
+    """(A, B) with one more row, at a random place and with arbitrary
+    entries, and one more A column, 1 on that row and 0 elsewhere."""
+    ring = b[0][0].ring
+    at, col = rng.randint(0, len(b)), rng.randint(0, len(a[0]))
+
+    def entries(k):
+        return [random_polynomial(rng, ring, deg=2, nterms=2, height=3) for _ in range(k)]
+
+    zero = Polynomial.zero(ring)
+    a2 = [row[:col] + [zero] + row[col:] for row in a]
+    a2.insert(at, entries(col) + [Polynomial.one(ring)] + entries(len(a[0]) - col))
+    b2 = [list(row) for row in b]
+    b2.insert(at, entries(len(b[0])))
+    return a2, b2
+
+
+def test_critical_l_unchanged_by_a_row_with_a_unit_pivot():
+    rng = random.Random(68)
+    units = positive = 0
+    for n, (a, b, delta) in enumerate(_criterion6_instances()):
+        if n % 2:
+            delta = Polynomial.constant(delta.ring, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        l0, m = critical_l(a, b, delta)
+        a2, b2 = _with_unit_row(rng, a, b)
+        l2, m2 = critical_l(a2, b2, delta)
+        assert l2 == l0
+        assert module_equal(m2, m)
+        assert module_equal(m2, _chain_module(a2, b2, delta, l2))
+        if l2 > 0:
+            positive += 1
+            assert not module_equal(_chain_module(a2, b2, delta, l2 - 1), m2)
+        units += delta.is_constant()
+    assert units >= 25 and positive > 0
+
+
+def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
+    # row (1,0;1) on the 2-D sheets of the shipped positive indicator: the
+    # 330-row stage-I system reaches the elimination with at most 12 rows
+    inside, calls = [], []
+    inner_cl, inner_elim = pipeline.critical_l, groebner._eliminate_tag
+
+    def spy_cl(a, b, delta):
+        inside.append(len(b))
+        try:
+            return inner_cl(a, b, delta)
+        finally:
+            inside.pop()
+
+    def spy_elim(mvs, ring, j, comp_elim=0, tag=True):
+        if inside:
+            calls.append((inside[-1], comp_elim))
+        return inner_elim(mvs, ring, j, comp_elim, tag)
+
+    monkeypatch.setattr(pipeline, "critical_l", spy_cl)
+    monkeypatch.setattr(groebner, "_eliminate_tag", spy_elim)
+    text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
+    pipeline.main_mclosure(parse_operator_manifest(text.replace(
+        "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (1,0) ; (1) ; 1")))
+    largest = max(rows for rows, _ in calls)
+    assert largest == 330
+    assert all(left <= 12 for rows, left in calls if rows == largest)
 
 
 def test_spair_normal_forms_vanish_random():
