@@ -109,7 +109,7 @@ def cmd_nf(text, args):
 
 def cmd_syz(text, args):
     ring, order, smap = _ring_and_map(text, args, 'syz')
-    vecs = parse_vec_lines(ring, need(smap, "polys"))
+    vecs = _generators(ring, smap, "polys")
     _print_basis(syzygy_module(vecs), order)
     return 0
 

@@ -567,18 +567,17 @@ def _with_tag(mv, power=0):
     return {(i, m + (power,)): c for (i, m), c in mv.items()}
 
 
-def _eliminate_tag(mvs, ring, j, comp_elim=0, tag=True):
+def _eliminate_tag(mvs, ring, j, comp_elim=0):
     """Vectors of ring^j in the submodule that `mvs` generate.
 
     `mvs` live in comp_elim + j components, over the ring extended by a
-    last variable t when `tag` is set.  One Groebner basis under an order
-    eliminating t and the first comp_elim components; its elements free of
-    both, shifted down, are the reduced top-grevlex basis of the
-    elimination module.
+    last variable t, or over the ring itself when they are free of t.  One
+    Groebner basis under an order eliminating t and the first comp_elim
+    components; its elements free of both, shifted down, are the reduced
+    top-grevlex basis of the elimination module.
     """
     nv = ring.nvars
-    morder = ModuleOrder(elim_order([nv]) if tag else grevlex_order(), "top",
-                         comp_elim=comp_elim)
+    morder = ModuleOrder(elim_order([nv]), "top", comp_elim=comp_elim)
     out = []
     for g in _buchberger_core(mvs, morder):
         if any(i < comp_elim or any(m[nv:]) for (i, m) in g.mv):
@@ -686,7 +685,7 @@ def critical_l(a_matrix, b_matrix, delta):
         mvs += [{(i, m): c for m, c in rab.items()} for i in range(rows)]
     for k in range(kk):
         mvs[k][(rows + k, one)] = Fraction(1)
-    gens = _eliminate_tag(mvs, ring, kk, comp_elim=rows, tag=tag)
+    gens = _eliminate_tag(mvs, ring, kk, comp_elim=rows)
     if not tag:
         return 0, SubmoduleBasis(ring, kk, gens, is_groebner=True)
 

@@ -328,7 +328,8 @@ t
     ("intersect", "[ring]\nx = x1\n[left]\n[right]\nx1\n", 3),
     ("saturate", "[ring]\nx = x1\n[polys]\n[by]\nx1\n", 3),
     ("eliminate", "[ring]\nx = t, x\n[polys]\n[drop]\nt\n", 3),
-], ids=["intersect", "saturate", "eliminate"])
+    ("syz", "[ring]\nx = x1\n[polys]\n", 3),
+], ids=["intersect", "saturate", "eliminate", "syz"])
 def test_empty_generator_section_is_parse_error(tmp_path, capsys, command, text, line):
     path = write(tmp_path, "empty.txt", text)
     code, _, err = run_cli(capsys, [command, path])

@@ -256,8 +256,11 @@ def test_critical_l_with_a_unit_delta_builds_one_basis(monkeypatch):
 
 
 def _with_unit_row(rng, a, b):
-    """(A, B) with one more row, at a random place and with arbitrary
-    entries, and one more A column, 1 on that row and 0 elsewhere."""
+    """(A, B) with one more row r, at a random place and with arbitrary
+    entries, and one more A column, a nonzero rational constant at r and 0
+    elsewhere.  Then a random multiple of row r is added to every other
+    row: a row operation, so every M_l stays the same, and it fills the new
+    column, so pruning row r must divide by the constant."""
     ring = b[0][0].ring
     at, col = rng.randint(0, len(b)), rng.randint(0, len(a[0]))
 
@@ -266,9 +269,15 @@ def _with_unit_row(rng, a, b):
 
     zero = Polynomial.zero(ring)
     a2 = [row[:col] + [zero] + row[col:] for row in a]
-    a2.insert(at, entries(col) + [Polynomial.one(ring)] + entries(len(a[0]) - col))
+    pivot = Polynomial.constant(ring, Fraction(rng.randint(1, 9), rng.choice([-3, -2, 2, 5])))
+    a2.insert(at, entries(col) + [pivot] + entries(len(a[0]) - col))
     b2 = [list(row) for row in b]
     b2.insert(at, entries(len(b[0])))
+    for i in range(len(b2)):
+        if i != at:
+            w = random_polynomial(rng, ring, deg=1, nterms=1, height=3)
+            a2[i] = [e + w * f for e, f in zip(a2[i], a2[at])]
+            b2[i] = [e + w * f for e, f in zip(b2[i], b2[at])]
     return a2, b2
 
 
@@ -304,10 +313,10 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
         finally:
             inside.pop()
 
-    def spy_elim(mvs, ring, j, comp_elim=0, tag=True):
+    def spy_elim(mvs, ring, j, comp_elim=0):
         if inside:
             calls.append((inside[-1], comp_elim))
-        return inner_elim(mvs, ring, j, comp_elim, tag)
+        return inner_elim(mvs, ring, j, comp_elim)
 
     monkeypatch.setattr(pipeline, "critical_l", spy_cl)
     monkeypatch.setattr(groebner, "_eliminate_tag", spy_elim)
