@@ -82,6 +82,14 @@ def _generators(ring, smap, name):
     return parse_vec_lines(ring, section)
 
 
+def _line(smap, name):
+    """The (text, line) of section [name], which must hold exactly one line."""
+    section = need(smap, name)
+    if len(section.payload) != 1:
+        raise ManifestError("[%s] must hold exactly one line" % name, section.line)
+    return section.payload[0]
+
+
 def _module_order(order):
     return ModuleOrder(order, "top")
 
@@ -98,9 +106,7 @@ def cmd_gb(text, args):
 def cmd_nf(text, args):
     ring, order, smap = _ring_and_map(text, args, 'nf')
     vecs = parse_vec_lines(ring, need(smap, "polys"))
-    tgt_section = need(smap, "target")
-    [(ttext, tline)] = tgt_section.payload
-    target = parse_vec(ring, ttext, tline)
+    target = parse_vec(ring, *_line(smap, "target"))
     basis = buchberger(SubmoduleBasis(ring, len(target), vecs,
                                       order=_module_order(order)))
     print(normal_form(target, basis).text(order))
@@ -127,8 +133,7 @@ def cmd_intersect(text, args):
 def cmd_saturate(text, args):
     ring, order, smap = _ring_and_map(text, args, 'saturate')
     vecs = _generators(ring, smap, "polys")
-    [(btext, bline)] = need(smap, "by").payload
-    f = parse_poly(ring, btext, bline)
+    f = parse_poly(ring, *_line(smap, "by"))
     out = saturate(SubmoduleBasis(ring, len(vecs[0]), vecs), f)
     _print_basis(out, order)
     return 0
@@ -137,8 +142,7 @@ def cmd_saturate(text, args):
 def cmd_eliminate(text, args):
     ring, order, smap = _ring_and_map(text, args, 'eliminate')
     vecs = _generators(ring, smap, "polys")
-    [(dtext, _)] = need(smap, "drop").payload
-    drop = [v.strip() for v in dtext.split(",")]
+    drop = [v.strip() for v in _line(smap, "drop")[0].split(",")]
     out = eliminate(SubmoduleBasis(ring, len(vecs[0]), vecs), drop)
     _print_basis(out, order)
     return 0
@@ -161,8 +165,7 @@ def cmd_critical_l(text, args):
     ring, order, smap = _ring_and_map(text, args, 'critical-l')
     amat = [list(parse_vec(ring, t, l).comps) for t, l in need(smap, "amatrix").payload]
     bmat = [list(parse_vec(ring, t, l).comps) for t, l in need(smap, "bmatrix").payload]
-    [(dtext, dline)] = need(smap, "delta").payload
-    delta = parse_poly(ring, dtext, dline)
+    delta = parse_poly(ring, *_line(smap, "delta"))
     l0, module = critical_l(amat, bmat, delta)
     print("l0 = %d" % l0)
     _print_basis(module, order)
@@ -171,8 +174,7 @@ def cmd_critical_l(text, args):
 
 def cmd_roots(text, args):
     ring, order, smap = _ring_and_map(text, args, 'roots')
-    [(ptext, pline)] = need(smap, "poly").payload
-    p = parse_poly(ring, ptext, pline)
+    p = parse_poly(ring, *_line(smap, "poly"))
     width = None
     if args.width is not None:
         try:
@@ -203,8 +205,7 @@ def cmd_witness(text, args):
 
 def cmd_qdiv(text, args):
     ring, order, smap = _ring_and_map(text, args, 'qdiv')
-    [(ptext, pline)] = need(smap, "target").payload
-    p = parse_poly(ring, ptext, pline)
+    p = parse_poly(ring, *_line(smap, "target"))
     qs = []
     for t, l in need(smap, "divisors").payload:
         parts = [x.strip() for x in t.split(";")]
@@ -213,7 +214,11 @@ def cmd_qdiv(text, args):
         qs.append(QuasiMonic(parse_poly(ring, parts[0], l), ring.index(parts[1])))
     power = 1
     if "params" in smap and "power" in smap["params"][0].keys:
-        power = int(smap["params"][0].keys["power"][0])
+        value, line = smap["params"][0].keys["power"]
+        try:
+            power = int(value)
+        except ValueError:
+            raise ManifestError("bad integer for power", line) from None
     cert = reduce_mod_powers(p, qs, power)
     print("l = %d" % cert.l)
     for i, h in enumerate(cert.cofactors):
@@ -224,8 +229,7 @@ def cmd_qdiv(text, args):
 
 def cmd_apply(text, args):
     ring, order, smap = _ring_and_map(text, args, 'apply')
-    [(vtext, vline)] = need(smap, "vec").payload
-    vec = parse_vec(ring, vtext, vline)
+    vec = parse_vec(ring, *_line(smap, "vec"))
     op = parse_operator_lines(ring, len(vec), need(smap, "op"))
     print(op.apply(vec).text(order))
     return 0

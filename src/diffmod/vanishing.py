@@ -11,31 +11,33 @@ ideal of a union of strata is the intersection over the strata.
 
 Component selection factors each annihilator over Q and keeps the
 factors vanishing at the witness, saturated by their leading
-coefficients.  With a rational witness and independent differentials
-the chosen factors are absolutely irreducible; when more than one of
-them is nonlinear in its graph variable the combination can still split
-into several components, and such inputs are rejected rather than
-mishandled.
+coefficients.  sympy is loaded only to factor an annihilator of degree
+>= 3, with a non-constant leading coefficient, or with a square
+discriminant; the rest are proved irreducible exactly.  With a rational
+witness and independent differentials the chosen factors are absolutely
+irreducible; when more than one of them is nonlinear in its graph
+variable the combination can still split into several components, and
+such inputs are rejected rather than mishandled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy
+from math import isqrt
 
 from .errors import (DomainError, StructuralError, UnsupportedInputError,
                      WitnessSearchError)
 from .groebner import SubmoduleBasis, buchberger, ideal, intersect, saturate
 from .poly import Polynomial, Ring, linear_change_of_vars, mat_det
-from .quasimonic import QuasiMonic, delta_of
+from .quasimonic import QuasiMonic, coeff_in_var, delta_of
 from .realroots import (SemialgebraicDescription, TrueDesc, enumerate_points,
                         isolate_real_roots)
 
 
 def factor_rational(p):
     """Irreducible factors of p over Q as (factor, multiplicity) pairs."""
+    import sympy
     poly = sympy.Poly.from_dict(
         {m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()},
         *[sympy.Symbol(n) for n in p.ring.names], domain=sympy.QQ)
@@ -146,6 +148,39 @@ class Stratum:
 
 # -- component selection ------------------------------------------------------
 
+def _is_square(p):
+    """Whether p = s^2 for some s in Q[x]: s is built term by term from the
+    grevlex leading term of p - s^2, which strictly decreases."""
+    root = Polynomial.zero(p.ring)
+    while not p.is_zero():
+        m, c = p.leading()
+        if root.is_zero():
+            n, d = c.numerator, c.denominator
+            if n < 0 or isqrt(n) ** 2 != n or isqrt(d) ** 2 != d or any(e % 2 for e in m):
+                return False
+            lm, lc = tuple(e // 2 for e in m), Fraction(isqrt(n), isqrt(d))
+            t = Polynomial.monomial(p.ring, lm, lc)
+        else:
+            q = tuple(e - f for e, f in zip(m, lm))
+            if min(q) < 0:
+                return False
+            t = Polynomial.monomial(p.ring, q, c / (2 * lc))
+        p = p - (root * 2 + t) * t
+        root = root + t
+    return True
+
+
+def _irreducible(qm):
+    """Whether qm is proved irreducible over Q without factoring.  With a
+    constant lead, p is primitive over Q[x], so by Gauss's lemma a proper
+    factor has positive w-degree: none for degree 1, and for a*w^2 + b*w + c
+    two linear ones exactly when b^2 - 4ac is a square in Q[x]."""
+    if qm.deg > 2 or not qm.lead.is_constant():
+        return False
+    b, c = (coeff_in_var(qm.poly, qm.var, k) for k in (1, 0))
+    return qm.deg == 1 or not _is_square(b * b - qm.lead * c * 4)
+
+
 def select_component(system, witness):
     """Prime ideal of the unique irreducible component of the triangular
     system's zero set through the witness.
@@ -167,10 +202,8 @@ def select_component(system, witness):
             raise UnsupportedInputError(
                 "differentials at the witness are dependent; apply derivative "
                 "preprocessing or move the witness")
-        # a*w + b with a constant is irreducible: a factor free of w would
-        # divide a
-        factors = ([(qm.poly, 1)] if qm.deg == 1 and qm.lead.is_constant()
-                   else factor_rational(qm.poly))
+        # sympy factors only degree >= 3, a non-constant lead or a square discriminant
+        factors = [(qm.poly, 1)] if _irreducible(qm) else factor_rational(qm.poly)
         hits = []
         for f, mult in factors:
             if f.degree() < 1:

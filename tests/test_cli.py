@@ -338,6 +338,36 @@ def test_empty_generator_section_is_parse_error(tmp_path, capsys, command, text,
     assert "line %d" % line in err
 
 
+_ONE_LINE_SECTIONS = [
+    ("nf", "[ring]\nx = x1\n[polys]\nx1\n[target]\n%s", 5),
+    ("saturate", "[ring]\nx = x1\n[polys]\nx1\n[by]\n%s", 5),
+    ("eliminate", "[ring]\nx = x1, x2\n[polys]\nx1 - x2\n[drop]\n%s", 5),
+    ("critical-l", "[ring]\nx = x1\n[amatrix]\nx1\n[bmatrix]\n1\n[delta]\n%s", 7),
+    ("roots", "[ring]\nx = x1\n[poly]\n%s", 3),
+    ("qdiv", "[ring]\nx = x1\ny = y1\n[target]\n%s[divisors]\ny1 ; y1\n", 4),
+    ("apply", "[ring]\nx = x1\n[op]\n1 ; (0) ; 1\n[vec]\n%s", 5),
+]
+
+
+@pytest.mark.parametrize("lines", ["", "x1\nx1\n"], ids=["empty", "two-lines"])
+@pytest.mark.parametrize("command, template, line", _ONE_LINE_SECTIONS,
+                         ids=[c for c, _, _ in _ONE_LINE_SECTIONS])
+def test_one_line_section_is_parse_error(tmp_path, capsys, command, template, line, lines):
+    path = write(tmp_path, "one.txt", template % lines)
+    code, _, err = run_cli(capsys, [command, path])
+    assert code == 2
+    assert "parse error" in err and "must hold exactly one line" in err
+    assert "line %d" % line in err
+
+
+def test_qdiv_bad_power_is_parse_error(tmp_path, capsys):
+    text = "[ring]\nx = x1\ny = y1\n[target]\ny1^2\n[divisors]\ny1 ; y1\n[params]\npower = two\n"
+    path = write(tmp_path, "qdiv.txt", text)
+    code, _, err = run_cli(capsys, ["qdiv", path])
+    assert code == 2
+    assert "parse error" in err and "line 9" in err
+
+
 def test_critical_l_cli(tmp_path, capsys):
     text = """
 [ring]

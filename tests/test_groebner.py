@@ -13,7 +13,8 @@ from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
                               solve_inhomogeneous, syzygy_module, vec_to_mvec,
                               _Gen, _reduce, _spair)
 from diffmod.manifest import parse_operator_manifest
-from diffmod.orders import ModuleOrder, grevlex_order, lex_order, top_order
+from diffmod.orders import (ModuleOrder, block_order, grevlex_order, lex_order,
+                            top_order)
 from diffmod.poly import Polynomial, PolyVec, Ring
 
 from conftest import random_nonzero_polynomial, random_polynomial, random_vec
@@ -439,6 +440,54 @@ def test_named_systems_match_sympy_groebner(name):
                       for m, c in sympy.Poly(g, *symbols).terms())
             for g in theirs.exprs}
     assert {frozenset(p.terms.items()) for p in ours.polys()} == want
+
+
+def _metamorphic_systems():
+    """cyclic-4, katsura-4 and 10 seeded ideals, as (ring, polys, orders)."""
+    lex_and_more = (lex_order(), grevlex_order(), block_order(2))
+    out = []
+    for name in ("cyclic4", "katsura4"):
+        n, texts = NAMED_SYSTEMS[name]
+        ring = Ring.make(nx=n)
+        # a lex basis of katsura-4 takes minutes here and in sympy.groebner
+        orders = (grevlex_order(), block_order(1), block_order(2)) \
+            if name == "katsura4" else lex_and_more
+        out.append((ring, [P(ring, t) for t in texts], orders))
+    rng = random.Random(4242)
+    ring = Ring.make(nx=3)
+    for _ in range(10):
+        polys = [random_nonzero_polynomial(rng, ring, deg=2, nterms=3, height=5)
+                 for _ in range(rng.randint(2, 3))]
+        out.append((ring, polys, lex_and_more))
+    return out
+
+
+def _permute(polys, perm):
+    """Rename variable i to perm[i]."""
+    return [Polynomial(p.ring, {tuple(m[perm.index(i)] for i in range(len(m))): c
+                                for m, c in p.terms.items()}) for p in polys]
+
+
+def test_basis_is_the_same_ideal_under_every_order():
+    for ring, polys, orders in _metamorphic_systems():
+        bases = [buchberger(ideal(ring, polys, order=ModuleOrder(o, "top")))
+                 for o in orders]
+        for basis in bases:
+            assert module_equal(basis, ideal(ring, polys))
+        assert module_equal(bases[0], bases[1]) and module_equal(bases[1], bases[2])
+
+
+def test_basis_is_the_same_ideal_under_a_permutation_of_variables():
+    rng = random.Random(4343)
+    for ring, polys, _ in _metamorphic_systems():
+        perm = list(range(ring.nvars))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        basis = buchberger(ideal(ring, _permute(polys, perm)))
+        inverse = [perm.index(i) for i in range(ring.nvars)]
+        back = _permute(basis.polys(), inverse)
+        assert _permute(back, perm) == basis.polys()
+        assert module_equal(ideal(ring, back), ideal(ring, polys))
 
 
 def _nonzero_rational(rng):

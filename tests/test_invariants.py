@@ -7,6 +7,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import diffmod
 
 from diffmod.groebner import ideal, intersect, module_equal, normal_form
@@ -78,15 +80,71 @@ def test_provenance_logs_degree_data():
     assert "rewrite_D" in text
 
 
-def test_core_imports_leave_sympy_out():
-    # sympy costs most of the start-up time and memory of a fresh process;
-    # only the vanishing layer factors with it
+def _python(code):
+    """Run code in a fresh interpreter that imports this diffmod; its exit
+    status and stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(diffmod.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, diffmod, diffmod.groebner; "
-            "sys.exit('sympy' in sys.modules)")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout
+
+
+def test_core_imports_leave_sympy_out():
+    # sympy costs most of the start-up time and memory of a fresh process;
+    # only `vanishing.factor_rational` imports it, when it is called
+    code = ("import sys, diffmod, diffmod.groebner, diffmod.cli, diffmod.pipeline, "
+            "diffmod.manifest, diffmod.vanishing; sys.exit('sympy' in sys.modules)")
+    assert _python(code)[0] == 0
+
+
+MANIFESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "manifests")
+
+
+def test_shipped_manifests_run_without_sympy():
+    # every annihilator they hold has degree <= 2, a constant lead and a
+    # non-square discriminant, so the exact rule proves it irreducible
+    paths = sorted(os.path.join(MANIFESTS, n) for n in os.listdir(MANIFESTS)
+                   if n.endswith(".txt"))
+    runs = [[cmd, p] + flags for p in paths for cmd in ("vanish", "mclosure")
+            for flags in ([], ["--log"])]
+    runs += [["mclosure", p, "--check", "--log"] for p in paths if "indicator" in p]
+    code = ("import contextlib, io, sys\n"
+            "from diffmod.cli import run\n"
+            "codes = []\n"
+            "for argv in %r:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        codes.append(run(argv))\n"
+            "print(codes)\n"
+            "sys.exit('sympy' in sys.modules)\n" % runs)
+    status, out = _python(code)
+    assert status == 0, "a shipped manifest loaded sympy"
+    # vanish reads strata manifests and mclosure operator manifests; the
+    # crossed pairs are parse errors
+    codes = ast.literal_eval(out)
+    assert len(paths) == 4 and len(codes) == len(runs)
+    assert codes == [0 if ("vanish" in os.path.basename(r[1])) == (r[0] == "vanish") else 2
+                     for r in runs]
+
+
+@pytest.mark.parametrize("ann, witness, basis", [
+    ("y1^3 - x1^2*y1", "1, 1", "x1 - x2"),
+    ("x1*y1^2 - x1", "1, 1", "x2 - 1"),
+    ("x1*y1^2 - y1 - x1^3 + x1^2", "1, 1", "x1^3 - x1*x2^2 - x1^2 + x2"),
+    ("y1^2 - x1^2", "2, -2", "x1 + x2"),
+], ids=["cubic", "lead-splits", "lead-irreducible", "square-discriminant"])
+def test_annihilators_the_rule_cannot_decide_load_sympy(tmp_path, ann, witness, basis):
+    path = tmp_path / "stratum.txt"
+    path.write_text("[stratum]\nn = 1\nm = 1\np = 0\nanny 1 = %s\nwitness = %s\n"
+                    % (ann, witness))
+    code = ("import sys\nfrom diffmod.cli import run\n"
+            "assert run(['vanish', %r]) == 0\n"
+            "sys.exit('sympy' not in sys.modules)\n" % str(path))
+    status, out = _python(code)
+    assert status == 0, "the annihilator was not factored"
+    assert out == basis + "\n"
 
 
 def test_no_module_imports_random():

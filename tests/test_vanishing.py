@@ -8,6 +8,7 @@ from diffmod.errors import UnsupportedInputError, WitnessSearchError
 from diffmod.groebner import buchberger, ideal, module_equal, normal_form
 from diffmod.poly import Polynomial, Ring
 from diffmod.realroots import SemialgebraicDescription, atom, desc_and
+from diffmod import vanishing
 from diffmod.vanishing import (Stratum, TriangularSystem, complexify,
                                factor_rational, select_component, vanishing_ideal)
 from diffmod.quasimonic import QuasiMonic
@@ -43,6 +44,80 @@ def test_select_component_splits_square_difference():
     assert module_equal(out, ideal(ring, [P(ring, "y1 - x1")]))
     out2 = select_component(sysm, [1, -1])
     assert module_equal(out2, ideal(ring, [P(ring, "y1 + x1")]))
+
+
+def _base_poly(rng, ring, **kw):
+    """A random polynomial free of the graph variable y1 (index 2)."""
+    f = random_polynomial(rng, ring, **kw)
+    return Polynomial(ring, {m: c for m, c in f.terms.items() if m[2] == 0})
+
+
+def _quadratics(rng):
+    """Seeded quadratics in w = y1 over Q[x1, x2], labelled by shape."""
+    ring = Ring.make(nx=2, ny=1)
+    w = P(ring, "y1")
+    out = []
+    for shape in ["generic"] * 12 + ["split"] * 8 + ["double"] * 4 + ["lead"] * 4:
+        a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        r1, r2 = (_base_poly(rng, ring, deg=2, nterms=3, height=5) for _ in range(2))
+        if shape == "generic":
+            p = w * w * a + w * r1 + r2
+        elif shape == "split":
+            p = (w - r1) * (w - r2) * a
+        elif shape == "double":
+            p = (w - r1) ** 2 * a
+        else:
+            lead = _base_poly(rng, ring, deg=2, nterms=2, height=5)
+            if lead.is_constant():
+                lead = lead + P(ring, "x1")
+            p = w * w * lead + w * r1 + r2
+        out.append((shape, QuasiMonic(p, 2)))
+    return out
+
+
+def _rule_disagreements(cases):
+    """Cases where the exact rule and sympy's factorisation disagree."""
+    bad = []
+    for shape, qm in cases:
+        proved = vanishing._irreducible(qm)
+        if not qm.lead.is_constant():
+            if proved:
+                bad.append((shape, qm.poly.text(), "answered for a non-constant lead"))
+            continue
+        factors = factor_rational(qm.poly)
+        whole = (len(factors) == 1 and factors[0][1] == 1 and
+                 _up_to_scalar(factors[0][0]) == _up_to_scalar(qm.poly))
+        if proved != whole:
+            bad.append((shape, qm.poly.text(), proved))
+    return bad
+
+
+def test_irreducibility_rule_agrees_with_factoring():
+    cases = _quadratics(random.Random(1909))
+    assert _rule_disagreements(cases) == []
+    proved = [shape for shape, qm in cases if vanishing._irreducible(qm)]
+    deferred = [shape for shape, qm in cases if not vanishing._irreducible(qm)]
+    # both answers occur: the split and double-root quadratics are deferred
+    assert "generic" in proved and "split" in deferred and "double" in deferred
+
+
+def test_irreducibility_rule_without_square_test_is_caught(monkeypatch):
+    monkeypatch.setattr(vanishing, "_is_square", lambda p: False)
+    assert _rule_disagreements(_quadratics(random.Random(1909)))
+
+
+def test_is_square_on_seeded_squares():
+    ring = Ring.make(nx=2, ny=1)
+    rng = random.Random(2718)
+    for _ in range(20):
+        s = _base_poly(rng, ring, deg=3, nterms=4, height=9)
+        assert vanishing._is_square(s * s)
+        if s.is_zero():
+            continue
+        assert not vanishing._is_square(s * s * 2)
+        assert not vanishing._is_square(s * s * -1)
+        assert not vanishing._is_square(s * s * P(ring, "x1"))
+        assert not vanishing._is_square(s * s + P(ring, "x1 + 1"))
 
 
 def test_select_component_rejects_singular_witness():
