@@ -21,14 +21,16 @@ computation.
 Higher-level operations: syzygies and inhomogeneous solving (solution
 modules of linear systems over the ring), intersection by the tag
 variable, elimination, module equality, and the critical exponent of
-chains M_0 <= M_1 <= ...  The critical exponent and saturation share
-one primitive: a single Groebner basis over Q[x, t] with the
-Rabinowitsch generators (t*Delta - 1) e_i, eliminating t.  Before it,
-every row with a constant entry in some A column is cleared from the
-other columns and dropped with that column, which changes no M_l.  A
-constant Delta makes the chain constant, so l0 = 0 and M_0 is one
-elimination over Q[x], with no t, no Rabinowitsch generators and no
-basis of col(A).
+chains M_0 <= M_1 <= ...  Syzygies, intersection, elimination and the
+critical exponent share one routine, `_eliminate_tag`.  The critical
+exponent takes its system as sparse columns {row: nonzero Polynomial}
+(`critical_l_columns`; `critical_l` is the front end for dense
+matrices) and, like saturation, eliminates t from the Rabinowitsch
+generators (t*Delta - 1) e_i.  Before that, every row with a constant
+entry in some A column is cleared from the other columns and dropped
+with that column, which changes no M_l.  A constant Delta makes the
+chain constant, so l0 = 0 and M_0 is one elimination over Q[x], with
+no t, no Rabinowitsch generators and no basis of col(A).
 """
 
 from __future__ import annotations
@@ -424,30 +426,17 @@ def module_equal(m1, m2):
 def syzygy_module(gens):
     """Generators of all relations sum_k s_k * gens_k = 0.
 
-    Computed from a Groebner basis of the graph module {(g_k, e_k)}
-    with a component-elimination order; its elements supported purely
-    in the tag block are the syzygies.
+    The graph module {(g_k, e_k)} with its first j components
+    eliminated: its elements supported purely in the tag block are the
+    syzygies.
     """
     gens = [PolyVec([g]) if isinstance(g, Polynomial) else g for g in gens]
     if not gens:
         raise StructuralError("no generators")
-    ring = gens[0].ring
-    j = len(gens[0])
-    s = len(gens)
-    morder = ModuleOrder(grevlex_order(), "top", comp_elim=j)
-    mvs = []
-    for k, g in enumerate(gens):
-        mv = vec_to_mvec(g)
-        mv[(j + k, (0,) * ring.nvars)] = Fraction(1)
-        mvs.append(mv)
-    basis = _buchberger_core(mvs, morder)
-    out = []
-    for g in basis:
-        if any(i < j for (i, _) in g.mv):
-            continue
-        shifted = {(i - j, m): c for (i, m), c in g.monic().items()}
-        out.append(mvec_to_vec(ring, s, shifted))
-    return SubmoduleBasis(ring, s, out)
+    ring, j, s = gens[0].ring, len(gens[0]), len(gens)
+    one = (0,) * ring.nvars
+    mvs = [{**vec_to_mvec(g), (j + k, one): Fraction(1)} for k, g in enumerate(gens)]
+    return SubmoduleBasis(ring, s, _eliminate_tag(mvs, ring, s, comp_elim=j))
 
 
 class LinearSystemOverRing:
@@ -506,10 +495,13 @@ def solve_inhomogeneous(system):
     return p
 
 
-def _columns(matrix, ncols):
-    """Columns of a matrix of polynomials as {row: nonzero entry}."""
+def _columns(matrix):
+    """Columns of a rectangular matrix of polynomials as {row: nonzero entry}."""
+    ncols = len(matrix[0]) if matrix else 0
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise StructuralError("ragged matrix")
         for k, p in enumerate(row):
             if p.terms:
                 cols[k][i] = p
@@ -519,16 +511,18 @@ def _columns(matrix, ncols):
 def _prune(rows, a_cols, b_cols):
     """Unit-pivot pre-elimination of the system Delta^l * B P in col(A).
 
-    Takes columns as `_columns` gives them and rewrites them.  For an A
-    column c whose row-r entry is a nonzero constant a, every other A and
-    B column v loses (v_r / a) * c.  Then only c reaches row r, so a
-    combination of A columns that is zero in row r has no c-part:
-    dropping row r and column c leaves every M_l the same.  Rows are taken
-    in order, each with the unit column that touches the fewest rows.
-    Returns (rows left, A mvecs, B mvecs) over the rows left.
+    Takes the sparse columns {row: nonzero Polynomial} of
+    `critical_l_columns`, which the pipeline builds directly and the
+    dense front end gets from `_columns`, and clears copies of them.  For
+    an A column c whose row-r entry is a nonzero constant a, every other
+    A and B column v loses (v_r / a) * c.  Then only c reaches row r, so
+    a combination of A columns that is zero in row r has no c-part:
+    dropping row r and column c leaves every M_l the same.  Rows are
+    taken in order, each with the unit column that touches the fewest
+    rows.  Returns (rows left, A mvecs, B mvecs) over the rows left.
     """
     na = len(a_cols)
-    cols = a_cols + b_cols
+    cols = [dict(col) for col in a_cols + b_cols]
     touching = [set() for _ in range(rows)]
     for k, col in enumerate(cols):
         for i in col:
@@ -567,20 +561,21 @@ def _with_tag(mv, power=0):
     return {(i, m + (power,)): c for (i, m), c in mv.items()}
 
 
-def _eliminate_tag(mvs, ring, j, comp_elim=0):
+def _eliminate_tag(mvs, ring, j, comp_elim=0, drop=()):
     """Vectors of ring^j in the submodule that `mvs` generate.
 
     `mvs` live in comp_elim + j components, over the ring extended by a
     last variable t, or over the ring itself when they are free of t.  One
-    Groebner basis under an order eliminating t and the first comp_elim
-    components; its elements free of both, shifted down, are the reduced
-    top-grevlex basis of the elimination module.
+    Groebner basis under an order eliminating t, the ring variables `drop`
+    and the first comp_elim components; its elements free of all three,
+    shifted down, are the reduced basis of the elimination module.
     """
     nv = ring.nvars
-    morder = ModuleOrder(elim_order([nv]), "top", comp_elim=comp_elim)
+    morder = ModuleOrder(elim_order([*drop, nv]), "top", comp_elim=comp_elim)
     out = []
     for g in _buchberger_core(mvs, morder):
-        if any(i < comp_elim or any(m[nv:]) for (i, m) in g.mv):
+        if any(i < comp_elim or any(m[nv:]) or any(m[d] for d in drop)
+               for (i, m) in g.mv):
             continue
         down = {(i - comp_elim, m[:nv]): c for (i, m), c in g.monic().items()}
         out.append(mvec_to_vec(ring, j, down))
@@ -606,14 +601,8 @@ def eliminate(basis, drop):
     """Generators of the submodule of elements free of the dropped variables."""
     ring = basis.ring
     drop = sorted({d if isinstance(d, int) else ring.index(d) for d in drop})
-    morder = ModuleOrder(elim_order(drop), "top")
-    gb = _buchberger_core([vec_to_mvec(g) for g in basis.gens], morder)
-    out = []
-    for g in gb:
-        if any(any(m[d] for d in drop) for (_, m) in g.mv):
-            continue
-        out.append(mvec_to_vec(ring, basis.j, g.monic()))
-    return SubmoduleBasis(ring, basis.j, out)
+    mvs = [vec_to_mvec(g) for g in basis.gens]
+    return SubmoduleBasis(ring, basis.j, _eliminate_tag(mvs, ring, basis.j, drop=drop))
 
 
 def poly_exact_div(p, f):
@@ -637,22 +626,34 @@ def poly_exact_div(p, f):
 
 def saturate(basis, f):
     """M : f^infinity = {g : f^l * g in M for some l}, as the module M_inf
-    of critical_l with A the generators of M, B the identity, Delta = f."""
-    ring = basis.ring
-    j = basis.j
-    a_matrix = [[g[i] for g in basis.gens] for i in range(j)]
-    identity = [[Polynomial.one(ring) if i == k else Polynomial.zero(ring)
-                 for k in range(j)] for i in range(j)]
-    return critical_l(a_matrix, identity, f)[1]
+    of critical_l_columns with A the generators of M, B the identity,
+    Delta = f."""
+    one = Polynomial.one(basis.ring)
+    a_cols = [{i: p for i, p in enumerate(g.comps) if p.terms} for g in basis.gens]
+    b_cols = [{i: one} for i in range(basis.j)]
+    return critical_l_columns(basis.j, a_cols, b_cols, f)[1]
 
 
 def critical_l(a_matrix, b_matrix, delta):
+    """`critical_l_columns` of dense row-major A and B, for outside callers;
+    an empty B, unequal row counts or a ragged matrix raise StructuralError."""
+    if not b_matrix or not b_matrix[0]:
+        raise StructuralError("empty B matrix")
+    if a_matrix and len(a_matrix) != len(b_matrix):
+        raise StructuralError("A/B row mismatch")
+    return critical_l_columns(len(b_matrix), _columns(a_matrix), _columns(b_matrix),
+                              delta)
+
+
+def critical_l_columns(rows, a_cols, b_cols, delta):
     """Critical exponent of the chain M_l = {P : Delta^l * B P in col(A)}.
 
-    The chain ascends to M_inf = {P : Delta^l * B P in col(A) for some l}.
-    First `_prune` removes each row with a unit pivot in A, which leaves
-    every M_l unchanged.  M_inf comes from one Groebner basis over Q[x, t]
-    of (B_k, e_k), (A_j, 0) and ((t*Delta - 1) e_i, 0), under an order
+    A and B have `rows` rows and come as sparse columns {row: nonzero
+    Polynomial}, which are not modified.  The chain ascends to
+    M_inf = {P : Delta^l * B P in col(A) for some l}.  First `_prune`
+    removes each row with a unit pivot in A, which leaves every M_l
+    unchanged.  M_inf comes from one Groebner basis over Q[x, t] of
+    (B_k, e_k), (A_j, 0) and ((t*Delta - 1) e_i, 0), under an order
     eliminating the row components and t (the Rabinowitsch trick): its
     elements free of both are the reduced basis of M_inf.  For each of
     them the least l with Delta^l * B g in col(A) is read off by normal
@@ -664,17 +665,9 @@ def critical_l(a_matrix, b_matrix, delta):
     """
     if delta.is_zero():
         raise DomainError("Delta must be nonzero")
-    if not b_matrix or not b_matrix[0]:
-        raise StructuralError("empty B matrix")
     ring = delta.ring
-    rows = len(b_matrix)
-    kk = len(b_matrix[0])
-    if a_matrix and len(a_matrix) != rows:
-        raise StructuralError("A/B row mismatch")
-
-    rows, a_cols, b_cols = _prune(
-        rows, _columns(a_matrix, len(a_matrix[0]) if a_matrix else 0),
-        _columns(b_matrix, kk))
+    kk = len(b_cols)
+    rows, a_cols, b_cols = _prune(rows, a_cols, b_cols)
     tag = rows > 0 and not delta.is_constant()
     one = (0,) * (ring.nvars + tag)
     mvs = b_cols + a_cols

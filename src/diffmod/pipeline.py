@@ -12,7 +12,9 @@ components generate the answer.
 
 Stage II: operators differentiating y and z blocks; produces the
 z-independent solutions over the (x, y)-ring from stage I's generators
-by a z-degree-bounded solvability system.
+by a z-degree-bounded solvability system.  Both stages hand their
+systems to `critical_l_columns` as sparse columns {row: nonzero
+Polynomial over the base ring}, built from the bucketed entries.
 
 Stage IV: arbitrary polynomial-coefficient operators; the tangent frame
 rewrites away x-derivatives, stage II handles each rewritten piece, and
@@ -34,8 +36,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DomainError, StructuralError
-from .groebner import (SubmoduleBasis, buchberger, critical_l, full_module,
-                       intersect, normal_form)
+from .groebner import (SubmoduleBasis, buchberger, critical_l_columns,
+                       full_module, intersect, normal_form)
 from .operators import (build_tangent_frame, eliminate_x_derivatives,
                         lift_operator)
 from .poly import (Polynomial, PolyVec, Ring, linear_change_of_vars,
@@ -73,18 +75,17 @@ def _bucket(rows, prefix, colkey, poly, k):
         entry[base] = entry[base] + c if base in entry else c
 
 
-def _base_matrices(rows, na, nb, small):
-    """(sorted row keys, A, B) of bucketed rows as Polynomials over the base
-    ring; A has columns ("A", 0..na-1) and B columns ("B", 0..nb-1)."""
-    zero = Polynomial.zero(small)
-    row_keys = sorted(rows)
-    buckets = [rows[key] for key in row_keys]
-
-    def matrix(kind, ncols):
-        return [[Polynomial(small, b[(kind, ci)]) if (kind, ci) in b else zero
-                 for ci in range(ncols)] for b in buckets]
-
-    return row_keys, matrix("A", na), matrix("B", nb)
+def _sparse_columns(rows, na, nb, small):
+    """(row count, A columns, B columns) of bucketed rows, each column a
+    {row: nonzero Polynomial over the base ring}, rows numbered in sorted
+    key order; A has columns ("A", 0..na-1) and B columns ("B", 0..nb-1)."""
+    cols = {"A": [{} for _ in range(na)], "B": [{} for _ in range(nb)]}
+    for i, key in enumerate(sorted(rows)):
+        for (kind, ci), entry in rows[key].items():
+            p = Polynomial(small, entry)
+            if p.terms:
+                cols[kind][ci][i] = p
+    return len(rows), cols["A"], cols["B"]
 
 
 def _box_monomials(ring, bounds):
@@ -124,20 +125,11 @@ def _total_monomials(ring, idxs, maxdeg):
 def _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs):
     """Critical-exponent search for Delta^l P = sum H_mu ann_mu^power + sum G_k P_k;
     returns the module of admissible P."""
-    rows = j
-    a_cols = []
-    for qm in anns:
-        pw = qm.poly ** power
-        for comp in range(j):
-            a_cols.append(PolyVec([pw if r == comp else Polynomial.zero(ring)
-                                   for r in range(rows)]))
-    for v in pk_vecs:
-        a_cols.append(v)
-    a_matrix = [[col[r] for col in a_cols] for r in range(rows)] if a_cols else \
-        [[] for _ in range(rows)]
-    b_matrix = [[Polynomial.one(ring) if r == c else Polynomial.zero(ring)
-                 for c in range(j)] for r in range(rows)]
-    l1, module = critical_l(a_matrix, b_matrix, delta)
+    a_cols = [{comp: pw} for pw in (qm.poly ** power for qm in anns)
+              for comp in range(j)]
+    a_cols += [{r: p for r, p in enumerate(v.comps) if p.terms} for v in pk_vecs]
+    b_cols = [{r: Polynomial.one(ring)} for r in range(j)]
+    l1, module = critical_l_columns(j, a_cols, b_cols, delta)
     _note(logs, "final_l", l1)
     return module
 
@@ -216,8 +208,8 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
         base = svecs[idx] if kind == "S" else anns[idx].poly
         _bucket(rows, gamma, ("A", ci), base * Polynomial.monomial(ring, mono), stratum.n)
 
-    row_keys, a_matrix, b_matrix = _base_matrices(rows, len(acols), len(bcols), ring_x)
-    if not row_keys:
+    nrows, a_cols, b_cols = _sparse_columns(rows, len(acols), len(bcols), ring_x)
+    if not nrows:
         # no constraints at all: every degree-bounded candidate works
         pk_vecs = [PolyVec([Polynomial.monomial(ring, dm) if c == comp
                             else Polynomial.zero(ring) for c in range(j)])
@@ -226,7 +218,7 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
         return _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs)
 
     delta_x = _restrict(delta, ring_x)
-    l0, coeff_module = critical_l(a_matrix, b_matrix, delta_x)
+    l0, coeff_module = critical_l_columns(nrows, a_cols, b_cols, delta_x)
     _note(logs, "stage1_l", l0)
     _note(logs, "stage1_coeff_gens", len(coeff_module.gens))
 
@@ -313,10 +305,9 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     for c in range(j):
         _bucket(rows, c, ("B", c), Polynomial.one(ring), kxy)
 
-    _, a_matrix, b_matrix = _base_matrices(rows, len(acols), j, ring_xy)
-
+    nrows, a_cols, b_cols = _sparse_columns(rows, len(acols), j, ring_xy)
     delta_xy = _restrict(delta_hat, ring_xy)
-    l0, module = critical_l(a_matrix, b_matrix, delta_xy)
+    l0, module = critical_l_columns(nrows, a_cols, b_cols, delta_xy)
     _note(logs, "stage2_l", l0)
     _note(logs, "stage2_gens", len(module.gens))
     return module

@@ -387,6 +387,19 @@ t
     assert lines[1] == "1"
 
 
+@pytest.mark.parametrize("amatrix, bmatrix", [
+    ("x\ny ; x", "1\n1"),
+    ("x ; y\ny", "1\n1"),
+    ("x\ny", "1 ; y\n1"),
+], ids=["short-first-A-row", "short-last-A-row", "ragged-B"])
+def test_critical_l_rejects_ragged_matrices(tmp_path, capsys, amatrix, bmatrix):
+    text = "[ring]\nx = x, y\n[amatrix]\n%s\n[bmatrix]\n%s\n[delta]\nx\n" % (amatrix, bmatrix)
+    path = write(tmp_path, "ragged.txt", text)
+    code, out, err = run_cli(capsys, ["critical-l", path])
+    assert (code, out) == (3, "")
+    assert "ragged matrix" in err
+
+
 def test_outputs_reparse_through_consuming_stage(tmp_path, capsys):
     from diffmod.poly import Polynomial, PolyVec, Ring
     ring = Ring(("x1", "x2"), "xx")

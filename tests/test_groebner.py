@@ -305,21 +305,21 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
     # row (1,0;1) on the 2-D sheets of the shipped positive indicator: the
     # 330-row stage-I system reaches the elimination with at most 12 rows
     inside, calls = [], []
-    inner_cl, inner_elim = pipeline.critical_l, groebner._eliminate_tag
+    inner_cl, inner_elim = pipeline.critical_l_columns, groebner._eliminate_tag
 
-    def spy_cl(a, b, delta):
-        inside.append(len(b))
+    def spy_cl(rows, a_cols, b_cols, delta):
+        inside.append(rows)
         try:
-            return inner_cl(a, b, delta)
+            return inner_cl(rows, a_cols, b_cols, delta)
         finally:
             inside.pop()
 
-    def spy_elim(mvs, ring, j, comp_elim=0):
+    def spy_elim(mvs, ring, j, comp_elim=0, drop=()):
         if inside:
             calls.append((inside[-1], comp_elim))
-        return inner_elim(mvs, ring, j, comp_elim)
+        return inner_elim(mvs, ring, j, comp_elim, drop)
 
-    monkeypatch.setattr(pipeline, "critical_l", spy_cl)
+    monkeypatch.setattr(pipeline, "critical_l_columns", spy_cl)
     monkeypatch.setattr(groebner, "_eliminate_tag", spy_elim)
     text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
     pipeline.main_mclosure(parse_operator_manifest(text.replace(
