@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import perm, prod
 
 from .errors import DomainError, StructuralError
 from .groebner import (LinearSystemOverRing, full_module, normal_form,
@@ -113,6 +114,17 @@ class LinearDiffOp:
         for (alpha, i), c in self.terms.items():
             out = out + c * vec[i].diff_multi(alpha)
         return out
+
+    def apply_monomial(self, mono, comp):
+        """L on the monomial `mono` in component `comp`: a * d^alpha gives a
+        falling factorial times a, shifted by mono - alpha."""
+        out = {}
+        for (alpha, i), c in self.terms.items():
+            f = prod(map(perm, mono, alpha)) if i == comp else 0
+            for m, v in (c.terms.items() if f else ()):
+                k = tuple(a + b - d for a, b, d in zip(m, mono, alpha))
+                out[k] = out.get(k, 0) + f * v
+        return Polynomial(self.ring, out)
 
     def apply_poly(self, f):
         return self.apply(PolyVec([f]))

@@ -4,7 +4,8 @@ Stage I:  operators differentiating graph variables only.  Membership
 reduces, through division by annihilator powers, to solvability of a
 finite linear system over the base ring with degree-bounded unknowns.
 The degree bounds D3/D4 are the ones the cofactor-reduction lemma
-guarantees; no routine computes the reduced cofactors themselves.  The
+guarantees.  Annihilators with a constant lead are divided out while
+the system is built; the others enter as cofactor columns.  The
 critical-exponent search turns the "for some power of Delta" quantifier
 into a fixed exponent, and the stage finishes with a second
 critical-exponent computation whose solution module's leading
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .errors import DomainError, StructuralError
 from .groebner import (SubmoduleBasis, buchberger, critical_l_columns,
@@ -42,7 +44,7 @@ from .operators import (build_tangent_frame, eliminate_x_derivatives,
                         lift_operator)
 from .poly import (Polynomial, PolyVec, Ring, linear_change_of_vars,
                    mat_inverse)
-from .quasimonic import delta_of
+from .quasimonic import delta_of, reduce_by_tables, remainder_tables
 from .vanishing import Stratum, complexify
 
 
@@ -65,11 +67,11 @@ def _restrict(p, small):
     return Polynomial(small, {m[:k]: c for m, c in p.terms.items()})
 
 
-def _bucket(rows, prefix, colkey, poly, k):
-    """Add poly, split as a sum over monomials in the variables from index k
-    on, to column colkey of the rows keyed (prefix, that monomial).  Each
-    entry is a {monomial in the first k variables: coefficient} dict."""
-    for m, c in poly.terms.items():
+def _bucket(rows, prefix, colkey, terms, k):
+    """Add the polynomial with `terms`, split over monomials in the variables
+    from index k on, to column colkey of the rows keyed (prefix, that
+    monomial); each entry is a {monomial in the first k variables: coeff}."""
+    for m, c in terms.items():
         entry = rows.setdefault((prefix, m[k:]), {}).setdefault(colkey, {})
         base = m[:k]
         entry[base] = entry[base] + c if base in entry else c
@@ -91,35 +93,14 @@ def _sparse_columns(rows, na, nb, small):
 def _box_monomials(ring, bounds):
     """Full-length monomials with var exponent < bounds[var], zero elsewhere."""
     vars_ = sorted(bounds)
-    ranges = [range(bounds[v]) for v in vars_]
-    out = []
-    for combo in product(*ranges):
-        m = [0] * ring.nvars
-        for v, e in zip(vars_, combo):
-            m[v] = e
-        out.append(tuple(m))
-    return out
+    return [tuple(dict(zip(vars_, combo)).get(i, 0) for i in range(ring.nvars))
+            for combo in product(*(range(bounds[v]) for v in vars_))]
 
 
 def _total_monomials(ring, idxs, maxdeg):
     """Full-length monomials over idxs with total degree <= maxdeg."""
-    idxs = list(idxs)
-    out = []
-
-    def rec(pos, left, acc):
-        if pos == len(idxs):
-            m = [0] * ring.nvars
-            for v, e in zip(idxs, acc):
-                m[v] = e
-            out.append(tuple(m))
-            return
-        for e in range(left + 1):
-            rec(pos + 1, left - e, acc + [e])
-
-    if maxdeg < 0:
-        return []
-    rec(0, maxdeg, [])
-    return out
+    return [m for m in _box_monomials(ring, dict.fromkeys(idxs, maxdeg + 1))
+            if sum(m) <= maxdeg]
 
 
 def _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs):
@@ -136,7 +117,16 @@ def _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs):
 
 def graph_solution_module(stratum, op, vanishing=None, logs=None):
     """Generators of {P : op(Q P) = 0 on the stratum for all Q}, over the
-    stratum's full local ring.  op must differentiate graph variables only."""
+    stratum's full local ring.  op must differentiate graph variables only.
+
+    The stage-I system asks Delta^l * op(x^g P) to lie in the span of S
+    columns (vanishing-ideal generators times box monomials) and P columns
+    (an annihilator times a monomial of graph degree <= D4); every entry
+    has graph degree <= D3.  An annihilator w^D + (lower terms over Q[x])
+    with a constant lead gets no P columns: all entries are reduced modulo
+    it instead.  Every M_l stays the same, since an entry that reduces to
+    zero is that annihilator times a quotient of graph degree <= D3 - D = D4,
+    which the P columns covered."""
     logs = logs if logs is not None else []
     ring = stratum.ring
     j = op.ncomps
@@ -155,6 +145,7 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     m_ord = max(op.order(), 0)
     power = m_ord + 1
     delta = delta_of(anns, ring)
+    units = [qm for qm in anns if qm.lead.is_constant()]
 
     ring_x = Ring.make(nx=stratum.n)
 
@@ -169,54 +160,43 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     _note(logs, "D2_box", sorted(d2_box.values()))
 
     # realized degree of every combination the cofactor bound must cover
-    lhs_cache = {}
-    d3 = max((qm.deg for qm in anns), default=0)
-    for gamma in gammas:
-        for delta_m in basis1:
-            for comp in range(j):
-                mono = tuple(a + b for a, b in zip(gamma, delta_m))
-                vec = PolyVec([Polynomial.monomial(ring, mono) if c == comp
-                               else Polynomial.zero(ring) for c in range(j)])
-                val = op.apply(vec)
-                lhs_cache[(gamma, delta_m, comp)] = val
-                if not val.is_zero():
-                    d3 = max(d3, val.degree_in_vars(gidx))
+    lhs = {(gamma, dm, comp): op.apply_monomial(tuple(map(add, gamma, dm)), comp)
+           for gamma in gammas for dm in basis1 for comp in range(j)}
     max_s_deg = max((s.degree_in_vars(gidx) for s in svecs), default=0)
     box2_total = sum(b - 1 for b in d2_box.values())
-    d3 = max(d3, box2_total + max_s_deg)
+    d3 = max([box2_total + max_s_deg] + [qm.deg for qm in anns]
+             + [v.degree_in_vars(gidx) for v in lhs.values()])
     _note(logs, "D3", d3)
     d4 = {qm.var: d3 - qm.deg for qm in anns}
     _note(logs, "D4", sorted(d4.values()))
 
-    # assemble the bounded linear system over the base ring
+    # assemble the bounded linear system over the base ring; the P columns
+    # of the other annihilators need only monomials reduced modulo `units`
+    tables = remainder_tables(units, d3)
     bcols = [(comp, delta_m) for comp in range(j) for delta_m in basis1]
+    pmonos = {qnum: [mono for mono in _total_monomials(ring, gidx, d4[qm.var])
+                     if all(mono[u.var] < u.deg for u in units)]
+              for qnum, qm in enumerate(anns) if qm not in units}
     acols = []
     for gamma in gammas:
         for snum, s in enumerate(svecs):
             for mono in basis2:
                 acols.append(("S", gamma, snum, mono))
-        for qnum, qm in enumerate(anns):
-            for mono in _total_monomials(ring, gidx, d4[qm.var]):
-                acols.append(("P", gamma, qnum, mono))
+        for qnum, monos in pmonos.items():
+            acols += [("P", gamma, qnum, mono) for mono in monos]
 
     rows = {}
     for gamma in gammas:
         for ci, (comp, delta_m) in enumerate(bcols):
-            _bucket(rows, gamma, ("B", ci), lhs_cache[(gamma, delta_m, comp)], stratum.n)
+            _bucket(rows, gamma, ("B", ci), reduce_by_tables(
+                lhs[(gamma, delta_m, comp)].terms, tables), stratum.n)
     for ci, col in enumerate(acols):
         kind, gamma, idx, mono = col
         base = svecs[idx] if kind == "S" else anns[idx].poly
-        _bucket(rows, gamma, ("A", ci), base * Polynomial.monomial(ring, mono), stratum.n)
+        _bucket(rows, gamma, ("A", ci), reduce_by_tables(
+            (base * Polynomial.monomial(ring, mono)).terms, tables), stratum.n)
 
     nrows, a_cols, b_cols = _sparse_columns(rows, len(acols), len(bcols), ring_x)
-    if not nrows:
-        # no constraints at all: every degree-bounded candidate works
-        pk_vecs = [PolyVec([Polynomial.monomial(ring, dm) if c == comp
-                            else Polynomial.zero(ring) for c in range(j)])
-                   for comp, dm in bcols]
-        _note(logs, "stage1_l", 0)
-        return _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs)
-
     delta_x = _restrict(delta, ring_x)
     l0, coeff_module = critical_l_columns(nrows, a_cols, b_cols, delta_x)
     _note(logs, "stage1_l", l0)
@@ -298,12 +278,12 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
         mult = Polynomial.monomial(ring, mono)
         if kind == "P":
             for c in range(j):
-                _bucket(rows, c, ("A", ci), pk[idx][c] * mult, kxy)
+                _bucket(rows, c, ("A", ci), (pk[idx][c] * mult).terms, kxy)
         else:
-            _bucket(rows, comp, ("A", ci), (zanns[idx].poly ** power) * mult, kxy)
+            _bucket(rows, comp, ("A", ci), ((zanns[idx].poly ** power) * mult).terms, kxy)
     # B puts P_c into the z-free row of component c
     for c in range(j):
-        _bucket(rows, c, ("B", c), Polynomial.one(ring), kxy)
+        _bucket(rows, c, ("B", c), Polynomial.one(ring).terms, kxy)
 
     nrows, a_cols, b_cols = _sparse_columns(rows, len(acols), j, ring_xy)
     delta_xy = _restrict(delta_hat, ring_xy)

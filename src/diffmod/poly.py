@@ -234,14 +234,13 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise DomainError("exponent must be a non-negative integer")
-        result = Polynomial.one(self.ring)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Polynomial.one(self.ring) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 
 from .errors import DomainError, StructuralError
 from .poly import Polynomial
@@ -41,11 +43,11 @@ class QuasiMonic:
         if self.poly.degree_in(self.var) < 1:
             raise StructuralError("polynomial does not involve its distinguished variable")
 
-    @property
+    @cached_property
     def deg(self):
         return self.poly.degree_in(self.var)
 
-    @property
+    @cached_property
     def lead(self):
         return coeff_in_var(self.poly, self.var, self.deg)
 
@@ -99,11 +101,10 @@ def _pseudo_divide_power(p, qm, k):
         d = r.degree_in(var)
         if d < dd:
             return e, h, r
-        c = coeff_in_var(r, var, d)
-        shift = Polynomial.monomial(
+        c = coeff_in_var(r, var, d) * Polynomial.monomial(
             ring, tuple(d - dd if i == var else 0 for i in range(ring.nvars)))
-        h = h * lead + c * shift
-        r = r * lead - c * shift * divisor
+        h = h * lead + c
+        r = r * lead - c * divisor
         e += 1
 
 
@@ -145,7 +146,10 @@ def reduce_mod_powers(p, qs, k):
         r = r * fill
 
     # drop unnecessary Delta powers incurred by pseudo-division steps that
-    # turned out to divide exactly
+    # turned out to divide exactly; a constant Delta divides them all
+    if delta.is_constant():
+        s = 1 / delta.constant_value() ** l
+        cof, r, l = [h * s for h in cof], r * s, 0
     from .groebner import poly_exact_div
     while l > 0:
         try:
@@ -159,3 +163,34 @@ def reduce_mod_powers(p, qs, k):
                                bounds={q.var: k * q.deg for q in qs})
     cert.verify(p, qs, delta)
     return cert
+
+
+def remainder_tables(qs, top):
+    """{var: table} for quasi-monic q with constant leads, each in its own
+    variable w.  Entry e of a table, e = 0..top, lists the (shift,
+    coefficient) pairs that turn w^e into its remainder mod q; each power
+    takes one pseudo-division step from the one before."""
+    tables = {}
+    for q in qs:
+        v, r = q.var, Polynomial.one(q.poly.ring)
+        w, tables[v] = Polynomial.variable(r.ring, v), []
+        monic = QuasiMonic(q.poly * (1 / q.lead.constant_value()), v)
+        for e in range(top + 1):
+            r = _pseudo_divide_power(r * w, monic, 1)[2] if e else r
+            tables[v].append([(tuple(a - e * (i == v) for i, a in enumerate(m)), c)
+                              for m, c in r.terms.items()])
+    return tables
+
+
+def reduce_by_tables(terms, tables):
+    """Remainder of the polynomial with `terms` {monomial: coefficient}
+    modulo the quasi-monic polynomials of `remainder_tables`, as such a
+    dict; the variables reduce one after the other."""
+    for v, table in tables.items():
+        out = {}
+        for m, c in terms.items():
+            for shift, c2 in table[m[v]]:
+                k = tuple(map(add, m, shift))
+                out[k] = out.get(k, 0) + c * c2
+        terms = {k: c for k, c in out.items() if c}
+    return terms

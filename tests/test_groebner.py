@@ -302,31 +302,39 @@ def test_critical_l_unchanged_by_a_row_with_a_unit_pivot():
 
 
 def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
-    # row (1,0;1) on the 2-D sheets of the shipped positive indicator: the
-    # 330-row stage-I system reaches the elimination with at most 12 rows
-    inside, calls = [], []
-    inner_cl, inner_elim = pipeline.critical_l_columns, groebner._eliminate_tag
+    # row (1,0;1) on the 2-D sheets of the shipped positive indicator: both
+    # annihilators have constant leads, so each stage-I system is born with
+    # the remainder rows of division by them, at most 6 derivative indices
+    # times {1, y1}, and _prune finds no unit pivot left to remove
+    pending, stage_one = [], []
+    inner_tables = pipeline.remainder_tables
+    inner_cl, inner_prune = pipeline.critical_l_columns, groebner._prune
+
+    def spy_tables(units, top):
+        # the next system of graph_solution_module is its stage-I system
+        pending.append(True)
+        return inner_tables(units, top)
 
     def spy_cl(rows, a_cols, b_cols, delta):
-        inside.append(rows)
-        try:
-            return inner_cl(rows, a_cols, b_cols, delta)
-        finally:
-            inside.pop()
+        if pending:
+            pending.clear()
+            stage_one.append([rows])
+        return inner_cl(rows, a_cols, b_cols, delta)
 
-    def spy_elim(mvs, ring, j, comp_elim=0, drop=()):
-        if inside:
-            calls.append((inside[-1], comp_elim))
-        return inner_elim(mvs, ring, j, comp_elim, drop)
+    def spy_prune(rows, a_cols, b_cols):
+        res = inner_prune(rows, a_cols, b_cols)
+        if stage_one and len(stage_one[-1]) == 1:
+            stage_one[-1].append(res[0])
+        return res
 
+    monkeypatch.setattr(pipeline, "remainder_tables", spy_tables)
     monkeypatch.setattr(pipeline, "critical_l_columns", spy_cl)
-    monkeypatch.setattr(groebner, "_eliminate_tag", spy_elim)
+    monkeypatch.setattr(groebner, "_prune", spy_prune)
     text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
     pipeline.main_mclosure(parse_operator_manifest(text.replace(
         "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (1,0) ; (1) ; 1")))
-    largest = max(rows for rows, _ in calls)
-    assert largest == 330
-    assert all(left <= 12 for rows, left in calls if rows == largest)
+    assert max(rows for rows, _ in stage_one) == 12
+    assert all(left == rows for rows, left in stage_one)
 
 
 def test_spair_normal_forms_vanish_random():

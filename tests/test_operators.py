@@ -38,6 +38,30 @@ def test_apply_examples():
     assert L3.apply(PolyVec([P(ring, "x1^2")])) == P(ring, "2*x1^2")
 
 
+
+def test_apply_monomial_matches_apply():
+    # seeded random operators with up to three components and derivative
+    # orders up to 2 per variable, on monomials that some orders exceed
+    rng = random.Random(47)
+    ring = Ring.make(nx=1, ny=2, nz=1)
+    multi = 0
+    for _ in range(40):
+        j = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            alpha = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+            terms[(alpha, rng.randrange(j))] = random_polynomial(rng, ring, deg=2, nterms=3)
+        op = LinearDiffOp(ring, j, terms)
+        for _ in range(3):
+            mono = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+            for comp in range(j):
+                vec = PolyVec([Polynomial.monomial(ring, mono) if c == comp
+                               else Polynomial.zero(ring) for c in range(j)])
+                want = op.apply(vec)
+                assert op.apply_monomial(mono, comp) == want
+                multi += j > 1 and not want.is_zero()
+    assert multi >= 40
+
 def test_apply_is_linear():
     rng = random.Random(9)
     ring = RXY

@@ -141,6 +141,33 @@ def test_stage1_sqrt_branch_dy():
     assert_matches_brute_force(st, L, res.basis, degcap=4)
 
 
+def test_stage1_system_without_rows():
+    # every entry of (y1 - x1^2)*dy1 reduces to zero modulo the annihilator,
+    # so the stage-I system is born without rows and every candidate solves it
+    st = parabola_stratum()
+    L = LinearDiffOp(st.ring, 1, {((0, 1), 0): P(st.ring, "y1 - x1^2")})
+    res = algorithm_I(st, L)
+    assert module_equal(res.basis, full_module(st.ring, 1))
+    assert res.provenance == ["D1_box=[2]", "D2_box=[1]", "D3=2", "D4=[1]", "stage1_l=0",
+                              "stage1_coeff_gens=2", "final_l=0", "stage1_gens=1"]
+
+
+def non_constant_lead_stratum(p=0):
+    # the lead x1 of x1*y1^2 - 1 is not constant, so stage I does not
+    # divide by it and keeps its P columns
+    ring = Ring.make(nx=1, ny=1, nz=p)
+    anns_z = [P(ring, "z1 - 1")] if p else []
+    return Stratum(n=1, m=1, p=p, ring=ring, anns_y=[P(ring, "x1*y1^2 - 1")],
+                   anns_z=anns_z, witness=[1, 1] + [1] * p)
+
+
+def test_stage1_non_constant_lead_brute_force():
+    st = non_constant_lead_stratum()
+    L = LinearDiffOp(st.ring, 1, {((0, 1), 0): 1})
+    res = algorithm_I(st, L)
+    assert_matches_brute_force(st, L, res.basis, degcap=6)
+
+
 # -- stage II ----------------------------------------------------------------
 
 def test_stage2_z_free_operator_matches_stage1():
@@ -184,6 +211,20 @@ def test_stage2_zero_operator():
     st = parabola_stratum(p=1)
     res = algorithm_II(st, zero_op(st.ring, 1))
     assert module_equal(res.basis, full_module(res.basis.ring, 1))
+
+
+def test_stage2_mixed_leads_pinned():
+    # z1 - 1 has a constant lead and is divided out during assembly, while
+    # x1*y1^2 - 1 keeps its P columns; generators and provenance as
+    # recorded before stage I divided by constant leads
+    st = non_constant_lead_stratum(p=1)
+    ring = st.ring
+    res = algorithm_II(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}))
+    assert [g[0].text() for g in res.basis.gens] == ["x1^2*y1^4 - 2*x1*y1^2 + 1"]
+    assert res.provenance == [
+        "D1_box=[2, 4]", "D2_box=[1, 2]", "D3=5", "D4=[3, 4]", "stage1_l=0",
+        "stage1_coeff_gens=4", "final_l=0", "stage1_gens=2", "stage2_zbox=[2]",
+        "stage2_D2=2", "stage2_l=0", "stage2_gens=1"]
 
 
 # -- stage IV ----------------------------------------------------------------
@@ -441,15 +482,16 @@ def test_certificate_uses_monomials_up_to_the_operator_order(monkeypatch):
         check_on_stratum(st, op, SubmoduleBasis(basis.ring, 1, [f]))
 
 
-# -- cost guard at derivative orders 3 and 4 ---------------------------------
+# -- cost guard at derivative orders 3, 4 and 6 ------------------------------
 
 def _expire(signum, frame):
-    raise TimeoutError("derivative order 3 or 4 ran over its 30 s budget")
+    raise TimeoutError("a row of derivative order 3, 4 or 6 ran over its 30 s budget")
 
 
-@pytest.mark.parametrize("alpha, beta", [("0,0", "3"), ("2,0", "1"), ("0,0", "4")])
+@pytest.mark.parametrize("alpha, beta", [("0,0", "3"), ("2,0", "1"), ("0,0", "4"),
+                                         ("2,2", "2")])
 def test_order_three_rows_finish_within_budget(alpha, beta):
-    # the shipped positive indicator with order k = 3 or 4 on its 2-D
+    # the shipped positive indicator with order k = 3, 4 or 6 on its 2-D
     # sheets: the module is (f^(k+1)), f = x2^2*x3 - x1^2
     text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
     sop = parse_operator_manifest(text.replace(

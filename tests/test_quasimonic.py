@@ -1,11 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
+from diffmod import groebner
 from diffmod.errors import StructuralError
 from diffmod.poly import Polynomial, Ring
 from diffmod.quasimonic import (DivisionCertificate, QuasiMonic, delta_of,
-                                reduce_mod_powers)
+                                reduce_by_tables, reduce_mod_powers,
+                                remainder_tables)
 
 from conftest import random_polynomial
 
@@ -56,7 +59,8 @@ def test_reduce_duplicate_variable_rejected():
         reduce_mod_powers(P(ring, "y1"), [qm, qm], 1)
 
 
-def test_certificates_random():
+def _random_cases():
+    """(p, quasi-monic divisors, power) for 200 seeded cases over RYY."""
     rng = random.Random(41)
     yidx = [RYY.index("y1"), RYY.index("y2")]
     for _ in range(200):
@@ -76,8 +80,55 @@ def test_certificates_random():
                                     if mm[yidx[mu]] < d and mm[yidx[1 - mu]] == 0})
             qs.append(QuasiMonic(lead * y ** d + tail, yidx[mu]))
         p = random_polynomial(rng, RYY, deg=4, nterms=5, height=5)
+        yield p, qs, k
+
+
+def test_certificates_random():
+    for p, qs, k in _random_cases():
         cert = reduce_mod_powers(p, qs, k)   # verify() runs inside
         delta = delta_of(qs, RYY)
         assert cert.verify(p, qs, delta)
         for q in qs:
             assert cert.remainder.degree_in(q.var) < k * q.deg
+
+
+def test_constant_delta_certificates_need_no_exact_division(monkeypatch):
+    # a constant Delta scales the certificate once by Delta^-l; the digest
+    # of the 200 certificates was recorded when a loop divided every
+    # cofactor by Delta one power of l at a time
+    calls = []
+    inner = groebner.poly_exact_div
+
+    def spy(p, f):
+        calls.append(f)
+        return inner(p, f)
+
+    monkeypatch.setattr(groebner, "poly_exact_div", spy)
+    digest = hashlib.sha256()
+    constant = 0
+    for p, qs, k in _random_cases():
+        calls.clear()
+        cert = reduce_mod_powers(p, qs, k)
+        if delta_of(qs, RYY).is_constant():
+            constant += 1
+            assert not calls and cert.l == 0
+        digest.update(("%d|%s|%s\n" % (cert.l, ";".join(h.text() for h in cert.cofactors),
+                                       cert.remainder.text())).encode())
+    assert constant == 86
+    assert digest.hexdigest() == (
+        "8e89367e2f14e9d91878632e8da162dad36f8c31ecfecbb920ca5620fe5d1363")
+
+
+def test_remainder_tables_match_reduce_mod_powers():
+    # constant leads 3 and -2 in two graph variables, alone and together
+    y1, y2 = RYY.index("y1"), RYY.index("y2")
+    q1 = QuasiMonic(P(RYY, "3*y1^2 - x1"), y1)
+    q2 = QuasiMonic(P(RYY, "-2*y2^3 + x2*y2^2 - x1^2*y2 + 1"), y2)
+    rng = random.Random(43)
+    for qs in ([q1], [q2], [q1, q2]):
+        tables = remainder_tables(qs, 6)
+        for _ in range(60):
+            p = random_polynomial(rng, RYY, deg=6, nterms=6, height=5)
+            want = reduce_mod_powers(p, qs, 1).remainder
+            assert Polynomial(RYY, reduce_by_tables(p.terms, tables)) == want
+    assert reduce_by_tables(p.terms, {}) == p.terms
