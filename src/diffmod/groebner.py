@@ -512,11 +512,10 @@ def _prune(rows, a_cols, b_cols):
     """Unit-pivot pre-elimination of the system Delta^l * B P in col(A).
 
     Takes the sparse columns {row: nonzero Polynomial} of
-    `critical_l_columns`, which the pipeline builds directly and the
-    dense front end gets from `_columns`, and clears copies of them.
-    Stage I divides by the annihilators with a constant lead while it
-    builds its systems, so the unit pivots left come from stage I with a
-    non-constant lead, stage II, `saturate` and the dense front end.  For
+    `critical_l_columns` and clears copies of them.  Both pipeline stages
+    divide by the annihilators with a constant lead while they build
+    their systems, so the unit pivots left come from non-constant leads,
+    unit entries of stage-I generators, `saturate` and `_columns`.  For
     an A column c whose row-r entry is a nonzero constant a, every other
     A and B column v loses (v_r / a) * c.  Then only c reaches row r, so
     a combination of A columns that is zero in row r has no c-part:
@@ -655,7 +654,7 @@ def critical_l_columns(rows, a_cols, b_cols, delta):
     Polynomial}, which are not modified.  The chain ascends to
     M_inf = {P : Delta^l * B P in col(A) for some l}.  First `_prune`
     removes each row with a unit pivot in A, which leaves every M_l
-    unchanged; stage-I systems divided by constant leads have none left.
+    unchanged; systems divided by constant leads have few left.
     M_inf comes from one Groebner basis over Q[x, t] of
     (B_k, e_k), (A_j, 0) and ((t*Delta - 1) e_i, 0), under an order
     eliminating the row components and t (the Rabinowitsch trick): its

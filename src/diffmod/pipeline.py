@@ -4,18 +4,21 @@ Stage I:  operators differentiating graph variables only.  Membership
 reduces, through division by annihilator powers, to solvability of a
 finite linear system over the base ring with degree-bounded unknowns.
 The degree bounds D3/D4 are the ones the cofactor-reduction lemma
-guarantees.  Annihilators with a constant lead are divided out while
-the system is built; the others enter as cofactor columns.  The
-critical-exponent search turns the "for some power of Delta" quantifier
-into a fixed exponent, and the stage finishes with a second
-critical-exponent computation whose solution module's leading
+guarantees.  The critical-exponent search turns the "for some power of
+Delta" quantifier into a fixed exponent, and the stage finishes with a
+second critical-exponent computation whose solution module's leading
 components generate the answer.
 
 Stage II: operators differentiating y and z blocks; produces the
 z-independent solutions over the (x, y)-ring from stage I's generators
-by a z-degree-bounded solvability system.  Both stages hand their
-systems to `critical_l_columns` as sparse columns {row: nonzero
-Polynomial over the base ring}, built from the bucketed entries.
+by a z-degree-bounded solvability system.
+
+Both stages, and stage I's final system, describe each column as
+(row prefix, terms) parts, and `_solve_system` turns them into the
+sparse columns of `critical_l_columns`.  Both stages follow one
+annihilator rule (`_annihilator_rule`): an annihilator power with a
+constant lead is divided out of every entry, any other gets cofactor
+columns.
 
 Stage IV: arbitrary polynomial-coefficient operators; the tangent frame
 rewrites away x-derivatives, stage II handles each rewritten piece, and
@@ -44,7 +47,8 @@ from .operators import (build_tangent_frame, eliminate_x_derivatives,
                         lift_operator)
 from .poly import (Polynomial, PolyVec, Ring, linear_change_of_vars,
                    mat_inverse)
-from .quasimonic import delta_of, reduce_by_tables, remainder_tables
+from .quasimonic import (QuasiMonic, delta_of, reduce_by_tables,
+                         remainder_tables)
 from .vanishing import Stratum, complexify
 
 
@@ -67,27 +71,47 @@ def _restrict(p, small):
     return Polynomial(small, {m[:k]: c for m, c in p.terms.items()})
 
 
-def _bucket(rows, prefix, colkey, terms, k):
-    """Add the polynomial with `terms`, split over monomials in the variables
-    from index k on, to column colkey of the rows keyed (prefix, that
-    monomial); each entry is a {monomial in the first k variables: coeff}."""
-    for m, c in terms.items():
-        entry = rows.setdefault((prefix, m[k:]), {}).setdefault(colkey, {})
-        base = m[:k]
-        entry[base] = entry[base] + c if base in entry else c
+def _times(p, mono):
+    """Terms of the polynomial p times the monomial mono."""
+    return {tuple(map(add, m, mono)): c for m, c in p.terms.items()}
 
 
-def _sparse_columns(rows, na, nb, small):
-    """(row count, A columns, B columns) of bucketed rows, each column a
-    {row: nonzero Polynomial over the base ring}, rows numbered in sorted
-    key order; A has columns ("A", 0..na-1) and B columns ("B", 0..nb-1)."""
-    cols = {"A": [{} for _ in range(na)], "B": [{} for _ in range(nb)]}
+def _solve_system(small, a_parts, b_parts, delta, units=()):
+    """`critical_l_columns` of the bounded system over `small`, a prefix of
+    the full ring, whose A and B columns are lists of (row prefix,
+    {monomial: coeff}) parts over the full ring.  Each part is reduced
+    modulo the constant-lead quasi-monic `units`; its term m then lands in
+    row (prefix, m[k:]) with base monomial m[:k], k = small.nvars.  Rows
+    are numbered in sorted key order."""
+    k = small.nvars
+    tables = remainder_tables(units)
+    rows = {}
+    for kind, cols in enumerate((a_parts, b_parts)):
+        for ci, parts in enumerate(cols):
+            for prefix, terms in parts:
+                for m, c in reduce_by_tables(terms, tables).items():
+                    entry = rows.setdefault((prefix, m[k:]), {}).setdefault((kind, ci), {})
+                    entry[m[:k]] = entry.get(m[:k], 0) + c
+    cols = ([{} for _ in a_parts], [{} for _ in b_parts])
     for i, key in enumerate(sorted(rows)):
         for (kind, ci), entry in rows[key].items():
             p = Polynomial(small, entry)
             if p.terms:
                 cols[kind][ci][i] = p
-    return len(rows), cols["A"], cols["B"]
+    return critical_l_columns(len(rows), *cols, _restrict(delta, small))
+
+
+def _annihilator_rule(ring, qs, idxs, top):
+    """(units, cofactors) for quasi-monic qs in a system whose entries have
+    degree <= top in the variables idxs.  The units, the qs with a constant
+    lead, are divided out of every entry.  Every other q gets cofactor
+    columns, one list per q: q times each monomial over idxs of degree
+    <= top - deg q that is reduced modulo the units."""
+    units = [q for q in qs if q.lead.is_constant()]
+    cofactors = [[_times(q.poly, mono) for mono in _total_monomials(ring, idxs, top - q.deg)
+                  if all(mono[u.var] < u.deg for u in units)]
+                 for q in qs if not q.lead.is_constant()]
+    return units, cofactors
 
 
 def _box_monomials(ring, bounds):
@@ -101,18 +125,6 @@ def _total_monomials(ring, idxs, maxdeg):
     """Full-length monomials over idxs with total degree <= maxdeg."""
     return [m for m in _box_monomials(ring, dict.fromkeys(idxs, maxdeg + 1))
             if sum(m) <= maxdeg]
-
-
-def _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs):
-    """Critical-exponent search for Delta^l P = sum H_mu ann_mu^power + sum G_k P_k;
-    returns the module of admissible P."""
-    a_cols = [{comp: pw} for pw in (qm.poly ** power for qm in anns)
-              for comp in range(j)]
-    a_cols += [{r: p for r, p in enumerate(v.comps) if p.terms} for v in pk_vecs]
-    b_cols = [{r: Polynomial.one(ring)} for r in range(j)]
-    l1, module = critical_l_columns(j, a_cols, b_cols, delta)
-    _note(logs, "final_l", l1)
-    return module
 
 
 def graph_solution_module(stratum, op, vanishing=None, logs=None):
@@ -145,9 +157,6 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     m_ord = max(op.order(), 0)
     power = m_ord + 1
     delta = delta_of(anns, ring)
-    units = [qm for qm in anns if qm.lead.is_constant()]
-
-    ring_x = Ring.make(nx=stratum.n)
 
     # degree data
     d1_box = {qm.var: power * qm.deg for qm in anns}
@@ -167,53 +176,32 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     d3 = max([box2_total + max_s_deg] + [qm.deg for qm in anns]
              + [v.degree_in_vars(gidx) for v in lhs.values()])
     _note(logs, "D3", d3)
-    d4 = {qm.var: d3 - qm.deg for qm in anns}
-    _note(logs, "D4", sorted(d4.values()))
+    _note(logs, "D4", sorted(d3 - qm.deg for qm in anns))
 
-    # assemble the bounded linear system over the base ring; the P columns
-    # of the other annihilators need only monomials reduced modulo `units`
-    tables = remainder_tables(units, d3)
+    # the bounded linear system over the base ring, one row prefix per gamma
+    units, cofactors = _annihilator_rule(ring, anns, gidx, d3)
     bcols = [(comp, delta_m) for comp in range(j) for delta_m in basis1]
-    pmonos = {qnum: [mono for mono in _total_monomials(ring, gidx, d4[qm.var])
-                     if all(mono[u.var] < u.deg for u in units)]
-              for qnum, qm in enumerate(anns) if qm not in units}
-    acols = []
+    a_parts, b_parts = [], [[] for _ in bcols]
     for gamma in gammas:
-        for snum, s in enumerate(svecs):
-            for mono in basis2:
-                acols.append(("S", gamma, snum, mono))
-        for qnum, monos in pmonos.items():
-            acols += [("P", gamma, qnum, mono) for mono in monos]
-
-    rows = {}
-    for gamma in gammas:
-        for ci, (comp, delta_m) in enumerate(bcols):
-            _bucket(rows, gamma, ("B", ci), reduce_by_tables(
-                lhs[(gamma, delta_m, comp)].terms, tables), stratum.n)
-    for ci, col in enumerate(acols):
-        kind, gamma, idx, mono = col
-        base = svecs[idx] if kind == "S" else anns[idx].poly
-        _bucket(rows, gamma, ("A", ci), reduce_by_tables(
-            (base * Polynomial.monomial(ring, mono)).terms, tables), stratum.n)
-
-    nrows, a_cols, b_cols = _sparse_columns(rows, len(acols), len(bcols), ring_x)
-    delta_x = _restrict(delta, ring_x)
-    l0, coeff_module = critical_l_columns(nrows, a_cols, b_cols, delta_x)
+        a_parts += [[(gamma, _times(s, mono))] for s in svecs for mono in basis2]
+        a_parts += [[(gamma, terms)] for cols in cofactors for terms in cols]
+        for parts, (comp, delta_m) in zip(b_parts, bcols):
+            parts.append((gamma, lhs[(gamma, delta_m, comp)].terms))
+    n = stratum.n
+    l0, coeff_module = _solve_system(Ring.make(nx=n), a_parts, b_parts, delta, units)
     _note(logs, "stage1_l", l0)
     _note(logs, "stage1_coeff_gens", len(coeff_module.gens))
 
-    pk_vecs = []
-    for gen in coeff_module.gens:
-        comps = [Polynomial.zero(ring) for _ in range(j)]
-        for ci, (comp, delta_m) in enumerate(bcols):
-            c = gen[ci].lift(ring)
-            if not c.is_zero():
-                comps[comp] = comps[comp] + c * Polynomial.monomial(ring, delta_m)
-        vec = PolyVec(comps)
-        if not vec.is_zero():
-            pk_vecs.append(vec)
-
-    module = _solution_from_final_system(ring, j, anns, power, delta, pk_vecs, logs)
+    # the final system Delta^l P = sum H_mu ann_mu^power + sum G_k P_k over
+    # the full ring, each P_k from a generator's nonzero coordinates
+    a_parts = [[(comp, pw.terms)] for pw in (qm.poly ** power for qm in anns)
+               for comp in range(j)]
+    a_parts += [[(comp, {m + delta_m[n:]: c for m, c in gen[ci].terms.items()})
+                 for ci, (comp, delta_m) in enumerate(bcols) if gen[ci].terms]
+                for gen in coeff_module.gens]
+    b_parts = [[(c, Polynomial.one(ring).terms)] for c in range(j)]
+    l1, module = _solve_system(ring, a_parts, b_parts, delta)
+    _note(logs, "final_l", l1)
     _note(logs, "stage1_gens", len(module.gens))
     return module
 
@@ -229,12 +217,18 @@ def algorithm_I(stratum, op, vanishing=None):
 
 def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     """Generators over the (x, y)-ring of the z-independent part of the
-    stage-I module; equals stage I itself when the stratum has no z-block."""
+    stage-I module; equals stage I itself when the stratum has no z-block.
+
+    The system asks Delta^l * P to lie in the span of the stage-I
+    generators times z-box monomials and of cofactor columns
+    zann^(ord+1) times z-monomials; every entry has z-degree <= D2.  As in
+    stage I, a power with a constant lead is divided out instead: the
+    quotients have z-degree <= D2 - deg, and as no annihilator couples two
+    graph variables, the reduction commutes with the other powers."""
     logs = logs if logs is not None else []
     ring = stratum.ring
     j = op.ncomps
     ring_xy = Ring.make(nx=stratum.n, ny=stratum.m)
-    kxy = ring_xy.nvars
 
     inner = graph_solution_module(stratum, op, vanishing, logs)
     if stratum.p == 0:
@@ -242,8 +236,8 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
                 for g in inner.gens]
         return SubmoduleBasis(ring_xy, j, gens)
 
-    pk = list(inner.gens)
-    zidx = tuple(range(kxy, ring.nvars))
+    pk = inner.gens
+    zidx = tuple(range(ring_xy.nvars, ring.nvars))
     zanns = stratum.annihilators()[stratum.m:]
     m_ord = max(op.order(), 0)
     power = m_ord + 1
@@ -261,33 +255,14 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
               for v in pk), default=0)
     d2 = max(d2, max(power * qm.deg for qm in zanns))
     _note(logs, "stage2_D2", d2)
-    hbound = {qm.var: d2 - power * qm.deg for qm in zanns}
 
-    acols = []
-    for knum in range(len(pk)):
-        for mono in abasis:
-            acols.append(("P", knum, None, mono))
-    for lnum, qm in enumerate(zanns):
-        for comp in range(j):
-            for mono in _total_monomials(ring, zidx, hbound[qm.var]):
-                acols.append(("H", lnum, comp, mono))
-
-    rows = {}
-    for ci, col in enumerate(acols):
-        kind, idx, comp, mono = col
-        mult = Polynomial.monomial(ring, mono)
-        if kind == "P":
-            for c in range(j):
-                _bucket(rows, c, ("A", ci), (pk[idx][c] * mult).terms, kxy)
-        else:
-            _bucket(rows, comp, ("A", ci), ((zanns[idx].poly ** power) * mult).terms, kxy)
-    # B puts P_c into the z-free row of component c
-    for c in range(j):
-        _bucket(rows, c, ("B", c), Polynomial.one(ring).terms, kxy)
-
-    nrows, a_cols, b_cols = _sparse_columns(rows, len(acols), j, ring_xy)
-    delta_xy = _restrict(delta_hat, ring_xy)
-    l0, module = critical_l_columns(nrows, a_cols, b_cols, delta_xy)
+    # rows (component, z-monomial); B puts P_c into the z-free row of c
+    units, cofactors = _annihilator_rule(
+        ring, [QuasiMonic(qm.poly ** power, qm.var) for qm in zanns], zidx, d2)
+    a_parts = [[(c, _times(v[c], mono)) for c in range(j)] for v in pk for mono in abasis]
+    a_parts += [[(comp, terms)] for cols in cofactors for comp in range(j) for terms in cols]
+    b_parts = [[(c, Polynomial.one(ring).terms)] for c in range(j)]
+    l0, module = _solve_system(ring_xy, a_parts, b_parts, delta_hat, units)
     _note(logs, "stage2_l", l0)
     _note(logs, "stage2_gens", len(module.gens))
     return module

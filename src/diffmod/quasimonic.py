@@ -165,28 +165,40 @@ def reduce_mod_powers(p, qs, k):
     return cert
 
 
-def remainder_tables(qs, top):
-    """{var: table} for quasi-monic q with constant leads, each in its own
-    variable w.  Entry e of a table, e = 0..top, lists the (shift,
-    coefficient) pairs that turn w^e into its remainder mod q; each power
-    takes one pseudo-division step from the one before."""
+def remainder_tables(qs):
+    """{var: (D, low, table)} for quasi-monic q = c*w^D + r with a
+    constant lead c, each in its own variable w.  `low` holds the
+    (shift, coefficient) pairs of -r/c, which w^D equals modulo q.
+    Entry e of a table lists the (shift, coefficient) pairs that turn w^e
+    into its remainder mod q; `reduce_by_tables` appends entries as the
+    terms it reduces need them."""
     tables = {}
     for q in qs:
-        v, r = q.var, Polynomial.one(q.poly.ring)
-        w, tables[v] = Polynomial.variable(r.ring, v), []
-        monic = QuasiMonic(q.poly * (1 / q.lead.constant_value()), v)
-        for e in range(top + 1):
-            r = _pseudo_divide_power(r * w, monic, 1)[2] if e else r
-            tables[v].append([(tuple(a - e * (i == v) for i, a in enumerate(m)), c)
-                              for m, c in r.terms.items()])
+        v, d, s = q.var, q.deg, -1 / q.lead.constant_value()
+        n = q.poly.ring.nvars
+        low = [(tuple(a - d * (i == v) for i, a in enumerate(m)), c * s)
+               for m, c in q.poly.terms.items() if m[v] < d]
+        tables[v] = (d, low, [[((0,) * n, Fraction(1))]])
     return tables
 
 
 def reduce_by_tables(terms, tables):
     """Remainder of the polynomial with `terms` {monomial: coefficient}
     modulo the quasi-monic polynomials of `remainder_tables`, as such a
-    dict; the variables reduce one after the other."""
-    for v, table in tables.items():
+    dict; the variables reduce one after the other.  Entry e of a table
+    is w times entry e - 1, with w^D replaced by `low`."""
+    for v, (d, low, table) in tables.items():
+        top = max((m[v] for m in terms), default=0)
+        for e in range(len(table), top + 1):
+            nxt = {}
+            for shift, c in table[-1]:
+                if shift[v] + e < d:
+                    nxt[shift] = nxt.get(shift, 0) + c
+                    continue
+                for s2, c2 in low:
+                    k = tuple(map(add, shift, s2))
+                    nxt[k] = nxt.get(k, 0) + c * c2
+            table.append([(k, c) for k, c in nxt.items() if c])
         out = {}
         for m, c in terms.items():
             for shift, c2 in table[m[v]]:

@@ -305,20 +305,29 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
     # row (1,0;1) on the 2-D sheets of the shipped positive indicator: both
     # annihilators have constant leads, so each stage-I system is born with
     # the remainder rows of division by them, at most 6 derivative indices
-    # times {1, y1}, and _prune finds no unit pivot left to remove
-    pending, stage_one = [], []
-    inner_tables = pipeline.remainder_tables
+    # times {1, y1}, and _prune finds no unit pivot left to remove; each
+    # stage-II system is born reduced modulo (z1 - 1)^3, so it has at most
+    # the rows 1, z1, z1^2
+    open_calls, stage_one, stage_two = [], [], []
+    inner_gsm = pipeline.graph_solution_module
     inner_cl, inner_prune = pipeline.critical_l_columns, groebner._prune
 
-    def spy_tables(units, top):
-        # the next system of graph_solution_module is its stage-I system
-        pending.append(True)
-        return inner_tables(units, top)
+    def spy_gsm(*args, **kwargs):
+        # counts the systems of one graph_solution_module call; its first
+        # is the stage-I system, and systems outside any call are stage II
+        open_calls.append(0)
+        try:
+            return inner_gsm(*args, **kwargs)
+        finally:
+            open_calls.pop()
 
     def spy_cl(rows, a_cols, b_cols, delta):
-        if pending:
-            pending.clear()
-            stage_one.append([rows])
+        if not open_calls:
+            stage_two.append(rows)
+        else:
+            if open_calls[-1] == 0:
+                stage_one.append([rows])
+            open_calls[-1] += 1
         return inner_cl(rows, a_cols, b_cols, delta)
 
     def spy_prune(rows, a_cols, b_cols):
@@ -327,7 +336,7 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
             stage_one[-1].append(res[0])
         return res
 
-    monkeypatch.setattr(pipeline, "remainder_tables", spy_tables)
+    monkeypatch.setattr(pipeline, "graph_solution_module", spy_gsm)
     monkeypatch.setattr(pipeline, "critical_l_columns", spy_cl)
     monkeypatch.setattr(groebner, "_prune", spy_prune)
     text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
@@ -335,6 +344,7 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
         "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (1,0) ; (1) ; 1")))
     assert max(rows for rows, _ in stage_one) == 12
     assert all(left == rows for rows, left in stage_one)
+    assert stage_two and max(stage_two) <= 3
 
 
 def test_spair_normal_forms_vanish_random():

@@ -164,3 +164,17 @@ def test_no_module_imports_random():
             else:
                 continue
             assert "random" not in roots, name
+
+
+def test_pipeline_builds_its_systems_in_one_place():
+    # every stage system reaches critical_l_columns through _solve_system,
+    # so no second bucketing or column path can drift from it
+    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "pipeline.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    callers = {f.name for f in defs for node in ast.walk(f)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "critical_l_columns"}
+    assert len(callers) == 1, callers
+    assert not {f.name for f in defs} & {"_bucket", "_sparse_columns"}

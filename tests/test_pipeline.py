@@ -227,6 +227,21 @@ def test_stage2_mixed_leads_pinned():
         "stage2_D2=2", "stage2_l=0", "stage2_gens=1"]
 
 
+def test_stage2_non_constant_z_lead_pinned():
+    # the lead x1 of x1*z1 - 1 is not constant, so stage II keeps its
+    # cofactor columns; generators and provenance as recorded before stage
+    # II divided by constant leads
+    ring = Ring.make(nx=1, ny=1, nz=1)
+    st = Stratum(n=1, m=1, p=1, ring=ring, anns_y=[P(ring, "y1^2 - x1")],
+                 anns_z=[P(ring, "x1*z1 - 1")], witness=[1, 1, 1])
+    res = algorithm_II(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}))
+    assert [g[0].text() for g in res.basis.gens] == ["y1^4 - 2*x1*y1^2 + x1^2"]
+    assert res.provenance == [
+        "D1_box=[2, 4]", "D2_box=[1, 2]", "D3=5", "D4=[3, 4]", "stage1_l=0",
+        "stage1_coeff_gens=4", "final_l=0", "stage1_gens=2", "stage2_zbox=[2]",
+        "stage2_D2=2", "stage2_l=0", "stage2_gens=1"]
+
+
 # -- stage IV ----------------------------------------------------------------
 
 def test_stage4_no_x_derivatives_matches_stage2():

@@ -120,15 +120,19 @@ def test_constant_delta_certificates_need_no_exact_division(monkeypatch):
 
 
 def test_remainder_tables_match_reduce_mod_powers():
-    # constant leads 3 and -2 in two graph variables, alone and together
+    # constant leads 3 and -2 in two graph variables, alone and together,
+    # and their powers; one table set serves polynomials of decreasing and
+    # then increasing exponent, so its entries grow on demand between uses
     y1, y2 = RYY.index("y1"), RYY.index("y2")
     q1 = QuasiMonic(P(RYY, "3*y1^2 - x1"), y1)
     q2 = QuasiMonic(P(RYY, "-2*y2^3 + x2*y2^2 - x1^2*y2 + 1"), y2)
     rng = random.Random(43)
-    for qs in ([q1], [q2], [q1, q2]):
-        tables = remainder_tables(qs, 6)
-        for _ in range(60):
-            p = random_polynomial(rng, RYY, deg=6, nterms=6, height=5)
-            want = reduce_mod_powers(p, qs, 1).remainder
-            assert Polynomial(RYY, reduce_by_tables(p.terms, tables)) == want
+    for k in (1, 2, 3):
+        for qs in ([q1], [q2], [q1, q2]):
+            tables = remainder_tables([QuasiMonic(q.poly ** k, q.var) for q in qs])
+            for deg in (12, 9, 6, 3, 1, 0, 2, 5, 8, 11, 14):
+                p = random_polynomial(rng, RYY, deg=deg, nterms=6, height=5) + P(
+                    RYY, "y1^%d*y2^%d" % (deg, deg))
+                want = reduce_mod_powers(p, qs, k).remainder
+                assert Polynomial(RYY, reduce_by_tables(p.terms, tables)) == want
     assert reduce_by_tables(p.terms, {}) == p.terms
