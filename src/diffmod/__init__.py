@@ -13,7 +13,7 @@ from .poly import (PolyVec, Polynomial, Ring, linear_change_of_vars,
                    mat_det, mat_inverse)
 from .groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
                        critical_l, critical_l_columns, eliminate, full_module,
-                       ideal, intersect, member, module_equal, normal_form,
+                       ideal, intersect, module_equal, normal_form,
                        poly_exact_div, saturate, solution_module,
                        solve_inhomogeneous, syzygy_module)
 

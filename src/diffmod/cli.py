@@ -21,7 +21,7 @@ from .manifest import (need, parse_desc_section, parse_operator_lines,
                        parse_operator_manifest, parse_order, parse_poly,
                        parse_ring, parse_strata_manifest, parse_vec,
                        parse_vec_lines, section_map, split_sections)
-from .orders import ModuleOrder
+from .orders import top_order
 from .pipeline import main_mclosure
 from .quasimonic import QuasiMonic, reduce_mod_powers
 from .realroots import find_witness_point, isolate_real_roots
@@ -90,15 +90,11 @@ def _line(smap, name):
     return section.payload[0]
 
 
-def _module_order(order):
-    return ModuleOrder(order, "top")
-
-
 def cmd_gb(text, args):
     ring, order, smap = _ring_and_map(text, args, 'gb')
     vecs = parse_vec_lines(ring, need(smap, "polys"))
     basis = SubmoduleBasis(ring, len(vecs[0]) if vecs else 1, vecs,
-                           order=_module_order(order))
+                           order=top_order(order))
     _print_basis(buchberger(basis), order)
     return 0
 
@@ -108,7 +104,7 @@ def cmd_nf(text, args):
     vecs = parse_vec_lines(ring, need(smap, "polys"))
     target = parse_vec(ring, *_line(smap, "target"))
     basis = buchberger(SubmoduleBasis(ring, len(target), vecs,
-                                      order=_module_order(order)))
+                                      order=top_order(order)))
     print(normal_form(target, basis).text(order))
     return 0
 
@@ -244,7 +240,7 @@ def cmd_vanish(text, args):
 
 def cmd_mclosure(text, args):
     sop = parse_operator_manifest(text)
-    res = main_mclosure(sop, check_samples=args.check)
+    res = main_mclosure(sop, check=args.check)
     if args.log:
         for line in res.provenance:
             print("# %s" % line)

@@ -409,10 +409,6 @@ def normal_form(f, basis):
     return out[0] if scalar else out
 
 
-def member(f, basis):
-    return normal_form(f, basis.groebner()).is_zero()
-
-
 def module_equal(m1, m2):
     """True iff the two bases generate the same submodule."""
     if m1.j != m2.j or m1.ring != m2.ring:

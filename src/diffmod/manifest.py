@@ -158,7 +158,10 @@ def _parse_matrix(value, line):
     return rows
 
 
-def parse_stratum(section, nz_expected=None, ambient_map=False):
+def parse_stratum(section, k=None):
+    """The [stratum] section as a Stratum.  An operator stratum passes its
+    coefficient count k: then p must equal k, and the result is the pair
+    (Stratum without T, T as given) for OperatorStratum to check."""
     def intval(key, default=None):
         if key not in section.keys:
             if default is None:
@@ -173,7 +176,7 @@ def parse_stratum(section, nz_expected=None, ambient_map=False):
     n = intval("n")
     m = intval("m")
     p = intval("p", 0)
-    if nz_expected is not None and p != nz_expected:
+    if k is not None and p != k:
         raise ManifestError("stratum p must equal the coefficient count",
                             section.line)
     ring = Ring.make(nx=n, ny=m, nz=p)
@@ -214,7 +217,7 @@ def parse_stratum(section, nz_expected=None, ambient_map=False):
         tmat = _parse_matrix(value, line)
 
     try:
-        if ambient_map:
+        if k is not None:
             st = Stratum(n=n, m=m, p=p, ring=ring, u_desc=u_desc,
                          anns_y=anns_y, anns_z=anns_z, witness=witness, T=None)
             return st, tmat
@@ -299,7 +302,7 @@ def parse_operator_manifest(text):
         sec = sections[idx]
         if sec.name != "stratum":
             raise ManifestError("expected [stratum], got [%s]" % sec.name, sec.line)
-        st, tmat = parse_stratum(sec, nz_expected=k, ambient_map=True)
+        st, tmat = parse_stratum(sec, k)
         idx += 1
         if idx >= len(sections) or sections[idx].name != "coeffs":
             raise ManifestError("each stratum needs a [coeffs] section",

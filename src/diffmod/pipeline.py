@@ -36,7 +36,6 @@ vanishing ideal and T only after stage IV; repeats reuse its module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from operator import add
 
@@ -45,11 +44,10 @@ from .groebner import (SubmoduleBasis, buchberger, critical_l_columns,
                        full_module, intersect, normal_form)
 from .operators import (build_tangent_frame, eliminate_x_derivatives,
                         lift_operator)
-from .poly import (Polynomial, PolyVec, Ring, linear_change_of_vars,
-                   mat_inverse)
+from .poly import Polynomial, PolyVec, Ring, mat_inverse
 from .quasimonic import (QuasiMonic, delta_of, reduce_by_tables,
                          remainder_tables)
-from .vanishing import Stratum, complexify
+from .vanishing import Stratum, ambient_map, complexify, pull_back
 
 
 @dataclass
@@ -319,11 +317,7 @@ class OperatorStratum:
     def __post_init__(self):
         if self.stratum.T is not None:
             raise StructuralError("pipeline strata carry their map in t_ambient")
-        n = self.stratum.n + self.stratum.m
-        if self.t_ambient is not None:
-            self.t_ambient = [[Fraction(v) for v in row] for row in self.t_ambient]
-            if len(self.t_ambient) != n or any(len(r) != n for r in self.t_ambient):
-                raise StructuralError("ambient map has wrong shape")
+        self.t_ambient = ambient_map(self.t_ambient, self.stratum.n + self.stratum.m)
 
 
 @dataclass
@@ -342,18 +336,16 @@ class StratifiedOperator:
                 raise StructuralError("stratum z-block must match the coefficient count")
 
 
-def main_mclosure(sop, check_samples=0, seed=0):
+def main_mclosure(sop, check=False):
     """Generators of the module of polynomial vectors P with L(Q P) = 0 on
     all of ambient space for every polynomial Q, for the stratified
     semialgebraic operator L described by `sop`.
 
-    A true `check_samples` switches on the exact certificate of
+    A true `check` switches on the exact certificate of
     `check_on_stratum`: after the intersection, each stratum checks its
     own stage-IV generators and the returned generators, pulled back
-    through its T^-1, against its vanishing ideal and lifted operator.
-    The count itself and `seed` are ignored; both are still accepted."""
+    through its T^-1, against its vanishing ideal and lifted operator."""
     amb = Ring.make(nx=sop.n)
-    ident = {i: i for i in range(sop.n)}
     logs = []
     result = None
     parts = {}   # stratum key -> ModuleResult, for this call only
@@ -372,18 +364,9 @@ def main_mclosure(sop, check_samples=0, seed=0):
             parts[key] = algorithm_IV(st, op, vanishing)
         part = parts[key]
         logs.extend("s%d.%s" % (snum, line) for line in part.provenance)
-        if check_samples:
+        if check:
             checks.append((os, op, vanishing, part.basis))
-        gens = []
-        for g in part.basis.gens:
-            comps = []
-            for p in g.comps:
-                q = p.lift(amb, ident)
-                if os.t_ambient is not None:
-                    q = linear_change_of_vars(q, os.t_ambient)
-                comps.append(q)
-            gens.append(PolyVec(comps))
-        contrib = SubmoduleBasis(amb, sop.j, gens)
+        contrib = pull_back(part.basis, amb, os.t_ambient)
         _note(logs, "stratum_gens", len(contrib.gens))
         result = contrib if result is None else intersect(result, contrib)
         _note(logs, "running_gens", len(result.gens))
@@ -392,20 +375,17 @@ def main_mclosure(sop, check_samples=0, seed=0):
     if result.gens:
         result = buchberger(result)
     for os, op, vanishing, local in checks:
-        pulled = result.gens
-        if os.t_ambient is not None:
-            tinv = mat_inverse(os.t_ambient)
-            pulled = [linear_change_of_vars(g, tinv) for g in pulled]
-        gens = local.gens + tuple(PolyVec([p.lift(local.ring, ident) for p in g.comps])
-                                  for g in pulled)
-        check_on_stratum(os.stratum, op, SubmoduleBasis(local.ring, sop.j, gens),
+        tinv = None if os.t_ambient is None else mat_inverse(os.t_ambient)
+        pulled = pull_back(result, local.ring, tinv)
+        check_on_stratum(os.stratum, op,
+                         SubmoduleBasis(local.ring, sop.j, local.gens + pulled.gens),
                          vanishing)
     return ModuleResult(result, logs)
 
 
 # -- exact soundness certificate ----------------------------------------------
 
-def check_on_stratum(stratum, op, basis, vanishing=None, nsamples=None, seed=None):
+def check_on_stratum(stratum, op, basis, vanishing=None):
     """Exact soundness certificate: raise DomainError unless op(x^g P)
     reduces to zero against the stratum's vanishing ideal I for every
     generator P and every monomial x^g in the variables op differentiates
@@ -416,8 +396,7 @@ def check_on_stratum(stratum, op, basis, vanishing=None, nsamples=None, seed=Non
     monomials in the differentiated variables matter.  For one of those,
     op(x_i R) = x_i op(R) + [op, x_i](R), where [op, x_i] has lower order
     and differentiates no new variable; induction on the order, then on
-    |g|, reduces every x^g to the checked ones.  `nsamples` and `seed`
-    are ignored; they are still accepted."""
+    |g|, reduces every x^g to the checked ones."""
     ring = stratum.ring
     if vanishing is None:
         vanishing = complexify(stratum)

@@ -56,9 +56,6 @@ class Ring:
     def nvars(self):
         return len(self.names)
 
-    def block(self, label):
-        return tuple(i for i, b in enumerate(self.blocks) if b == label)
-
     def index(self, name):
         try:
             return self._index[name]
@@ -473,10 +470,6 @@ class PolyVec:
                 raise StructuralError("mixed rings in vector")
         self.ring = ring
         self.comps = comps
-
-    @classmethod
-    def zero(cls, ring, j):
-        return cls([Polynomial.zero(ring)] * j)
 
     @classmethod
     def unit(cls, ring, j, k):

@@ -72,7 +72,6 @@ class DivisionCertificate:
     cofactors: list
     remainder: Polynomial
     power: int
-    bounds: dict  # distinguished var -> strict remainder bound
 
     def verify(self, p, qs, delta):
         lhs = (delta ** self.l) * p
@@ -159,8 +158,7 @@ def reduce_mod_powers(p, qs, k):
             break
         cof, r, l = cof2, r2, l - 1
 
-    cert = DivisionCertificate(l=l, cofactors=cof, remainder=r, power=k,
-                               bounds={q.var: k * q.deg for q in qs})
+    cert = DivisionCertificate(l=l, cofactors=cof, remainder=r, power=k)
     cert.verify(p, qs, delta)
     return cert
 

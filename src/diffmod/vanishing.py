@@ -29,7 +29,7 @@ from math import isqrt
 from .errors import (DomainError, StructuralError, UnsupportedInputError,
                      WitnessSearchError)
 from .groebner import SubmoduleBasis, buchberger, ideal, intersect, saturate
-from .poly import Polynomial, Ring, linear_change_of_vars, mat_det
+from .poly import Polynomial, PolyVec, Ring, linear_change_of_vars, mat_det
 from .quasimonic import QuasiMonic, coeff_in_var, delta_of
 from .realroots import (SemialgebraicDescription, TrueDesc, enumerate_points,
                         isolate_real_roots)
@@ -47,23 +47,6 @@ def factor_rational(p):
 
 
 # -- strata -----------------------------------------------------------------
-
-@dataclass
-class TriangularSystem:
-    """Polynomials each univariate in its own distinguished variable over the base."""
-
-    ring: Ring
-    members: list  # of QuasiMonic
-
-    def __post_init__(self):
-        seen = set()
-        for qm in self.members:
-            if qm.poly.ring != self.ring:
-                raise StructuralError("triangular member over wrong ring")
-            if qm.var in seen:
-                raise StructuralError("duplicate distinguished variable")
-            seen.add(qm.var)
-
 
 @dataclass
 class Stratum:
@@ -112,12 +95,7 @@ class Stratum:
             for p_ in self.anns_y + self.anns_z:
                 if p_.evaluate(self.witness) != 0:
                     raise DomainError("witness does not lie on an annihilator")
-        if self.T is not None:
-            self.T = [[Fraction(v) for v in row] for row in self.T]
-            if len(self.T) != q or any(len(r) != q for r in self.T):
-                raise StructuralError("T has wrong shape")
-            if mat_det(self.T) == 0:
-                raise DomainError("T is singular")
+        self.T = ambient_map(self.T, q)
 
     def _check_ann(self, p_, var):
         if p_.ring != self.ring:
@@ -144,6 +122,30 @@ class Stratum:
         for lam, p_ in enumerate(self.anns_z):
             out.append(QuasiMonic(p_, self.n + self.m + lam))
         return out
+
+
+def ambient_map(T, size):
+    """The linear map T (ambient -> local coordinates) as a size x size
+    matrix of Fractions; None stands for the identity and is kept."""
+    if T is None:
+        return None
+    T = [[Fraction(v) for v in row] for row in T]
+    if len(T) != size or any(len(r) != size for r in T):
+        raise StructuralError("T has wrong shape")
+    if mat_det(T) == 0:
+        raise DomainError("T is singular")
+    return T
+
+
+def pull_back(basis, ring, T):
+    """The generators of basis lifted into ring by variable index, then
+    through T (an `ambient_map`, None for the identity)."""
+    ident = {i: i for i in range(basis.ring.nvars)}
+    gens = []
+    for g in basis.gens:
+        g = PolyVec([p.lift(ring, ident) for p in g.comps])
+        gens.append(g if T is None else linear_change_of_vars(g, T))
+    return SubmoduleBasis(ring, basis.j, gens)
 
 
 # -- component selection ------------------------------------------------------
@@ -181,9 +183,10 @@ def _irreducible(qm):
     return qm.deg == 1 or not _is_square(b * b - qm.lead * c * 4)
 
 
-def select_component(system, witness):
-    """Prime ideal of the unique irreducible component of the triangular
-    system's zero set through the witness.
+def select_component(members, witness):
+    """Prime ideal of the unique irreducible component through the witness
+    of the zero set of `members`: QuasiMonic annihilators over one ring,
+    each in its own graph variable (a triangular system).
 
     Requires the differentials at the witness to be independent (for a
     triangular system: each annihilator's distinguished derivative must
@@ -192,10 +195,10 @@ def select_component(system, witness):
     variable; richer inputs can split into several components over the
     complex numbers and are rejected.
     """
-    ring = system.ring
+    ring = members[0].poly.ring
     witness = [Fraction(w) for w in witness]
     chosen = []
-    for qm in system.members:
+    for qm in members:
         if qm.poly.evaluate(witness) != 0:
             raise DomainError("witness does not lie on the system")
         if qm.poly.diff(qm.var).evaluate(witness) == 0:
@@ -308,9 +311,7 @@ def complexify(stratum, budget=20000):
     witness = stratum.witness
     if witness is None:
         witness = _stratum_witness(stratum, budget=budget)
-    anns = preprocess_annihilators(stratum, witness)
-    system = TriangularSystem(ring, anns)
-    return select_component(system, witness)
+    return select_component(preprocess_annihilators(stratum, witness), witness)
 
 
 def vanishing_ideal(strata, ambient_ring=None, budget=20000):
@@ -326,13 +327,6 @@ def vanishing_ideal(strata, ambient_ring=None, budget=20000):
 
     result = None
     for s in strata:
-        local = complexify(s, budget=budget)
-        gens = []
-        for g in local.gens:
-            p_ = g[0].lift(ring, {i: i for i in range(q)})
-            if s.T is not None:
-                p_ = linear_change_of_vars(p_, s.T)
-            gens.append(p_)
-        contrib = ideal(ring, gens)
+        contrib = pull_back(complexify(s, budget=budget), ring, s.T)
         result = contrib if result is None else intersect(result, contrib)
     return buchberger(result) if result.gens else result

@@ -477,6 +477,51 @@ x1
     assert code == 3
 
 
+_SINGULAR_OPERATOR = """
+[operator]
+n = 1
+j = 1
+k = 1
+[stratum]
+n = 1
+m = 0
+p = 1
+annz 1 = z1 - 1
+witness = 0, 1
+T = %s
+[coeffs]
+1 ; 1 ; (0) ; () ; 1
+"""
+
+_SINGULAR_STRATA = """
+[stratum]
+n = 1
+m = 0
+p = 1
+annz 1 = z1 - 1
+witness = 0, 1
+T = %s
+"""
+
+
+@pytest.mark.parametrize("command, text, code, message", [
+    ("mclosure", _SINGULAR_OPERATOR % "0", 3, "T is singular"),
+    ("vanish", _SINGULAR_STRATA % "0,0 ; 0,0", 3, "T is singular"),
+    ("mclosure", _SINGULAR_OPERATOR % "1,0 ; 0,1", 2, "T has wrong shape"),
+    ("vanish", _SINGULAR_STRATA % "1", 2, "T has wrong shape"),
+], ids=["mclosure-singular", "vanish-singular", "mclosure-shape", "vanish-shape"])
+def test_bad_coordinate_map_is_rejected_at_parse_time(tmp_path, capsys, monkeypatch,
+                                                      command, text, code, message):
+    # both commands check T by one rule before any stratum is computed
+    from diffmod import pipeline, vanishing
+    for module in (pipeline, vanishing):
+        monkeypatch.setattr(module, "complexify", None)
+    path = write(tmp_path, "map.txt", text)
+    got, out, err = run_cli(capsys, [command, path])
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_unsupported_exit_code(tmp_path, capsys):
     text = """
 [stratum]

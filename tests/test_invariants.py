@@ -178,3 +178,26 @@ def test_pipeline_builds_its_systems_in_one_place():
                and node.func.id == "critical_l_columns"}
     assert len(callers) == 1, callers
     assert not {f.name for f in defs} & {"_bucket", "_sparse_columns"}
+
+
+def test_ambient_maps_go_through_one_pull_back():
+    # outside poly.py only vanishing.pull_back applies a coordinate map T,
+    # and no second wrapper re-checks the annihilators a Stratum checked
+    src = os.path.dirname(os.path.abspath(diffmod.__file__))
+    callers, classes = set(), set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "poly.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        classes |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None))
+                 == "linear_change_of_vars"}
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef) and calls & set(ast.walk(f)):
+                callers.add((name, f.name))
+                calls -= set(ast.walk(f))
+        callers |= {(name, None) for _ in calls}
+    assert callers == {("vanishing.py", "pull_back")}, callers
+    assert "TriangularSystem" not in classes

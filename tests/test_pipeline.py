@@ -403,7 +403,7 @@ def test_main_indicator_on_ray():
         indicator_stratum(ray, t_ray),
         indicator_stratum(endpoint, None),
     ])
-    res = main_mclosure(sop, check_samples=1)
+    res = main_mclosure(sop, check=True)
     amb = res.basis.ring
     want = ideal(amb, [Polynomial.variable(amb, 0), Polynomial.variable(amb, 1)])
     assert module_equal(res.basis, want)
@@ -437,7 +437,7 @@ def test_main_computes_each_distinct_stratum_once(monkeypatch):
     stage4 = _counting(monkeypatch, "algorithm_IV")
     vanishing = _counting(monkeypatch, "complexify")
     checks = _counting(monkeypatch, "check_on_stratum")
-    main_mclosure(_positive_indicator(), check_samples=1)
+    main_mclosure(_positive_indicator(), check=True)
     assert (len(stage4), len(vanishing), len(checks)) == (5, 12, 12)
 
 

@@ -132,7 +132,7 @@ def test_main_derivative_jet_at_a_point():
                  witness=[0, 1])
     entries = [(1, 0, (), (1,), 1)]
     sop = StratifiedOperator(n=1, j=1, k=1, strata=[OperatorStratum(st, entries)])
-    res = main_mclosure(sop, check_samples=1)
+    res = main_mclosure(sop, check=True)
     amb = res.basis.ring
     want = ideal(amb, [Polynomial.parse(amb, "x1^2")])
     assert module_equal(res.basis, want)
@@ -150,7 +150,7 @@ def test_main_two_component_indicator_on_halfline():
                  witness=[1, 1])
     entries = [(1, 0, (0,), (), 1), (1, 1, (0,), (), -1)]
     sop = StratifiedOperator(n=1, j=2, k=1, strata=[OperatorStratum(st, entries)])
-    res = main_mclosure(sop, check_samples=1)
+    res = main_mclosure(sop, check=True)
     amb = res.basis.ring
     one = Polynomial.one(amb)
     want = SubmoduleBasis(amb, 2, [PolyVec([one, one])])

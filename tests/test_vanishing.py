@@ -9,8 +9,8 @@ from diffmod.groebner import buchberger, ideal, module_equal, normal_form
 from diffmod.poly import Polynomial, Ring
 from diffmod.realroots import SemialgebraicDescription, atom, desc_and
 from diffmod import vanishing
-from diffmod.vanishing import (Stratum, TriangularSystem, complexify,
-                               factor_rational, select_component, vanishing_ideal)
+from diffmod.vanishing import (Stratum, complexify, factor_rational,
+                               select_component, vanishing_ideal)
 from diffmod.quasimonic import QuasiMonic
 
 from conftest import random_polynomial
@@ -24,7 +24,7 @@ def P(ring, s):
 
 def test_select_component_irreducible():
     ring = Ring.make(nx=1, ny=1)
-    sysm = TriangularSystem(ring, [QuasiMonic(P(ring, "y1 - x1^2"), 1)])
+    sysm = [QuasiMonic(P(ring, "y1 - x1^2"), 1)]
     out = select_component(sysm, [1, 1])
     assert module_equal(out, ideal(ring, [P(ring, "y1 - x1^2")]))
 
@@ -32,14 +32,14 @@ def test_select_component_irreducible():
 def test_select_component_example_surface():
     # base (y, z), graph variable x: the surface x^2 = z y^2 through (1, 1, 1)
     ring = Ring(("y", "z", "x"), "xxy")
-    sysm = TriangularSystem(ring, [QuasiMonic(P(ring, "x^2 - z*y^2"), 2)])
+    sysm = [QuasiMonic(P(ring, "x^2 - z*y^2"), 2)]
     out = select_component(sysm, [1, 1, 1])
     assert module_equal(out, ideal(ring, [P(ring, "x^2 - z*y^2")]))
 
 
 def test_select_component_splits_square_difference():
     ring = Ring.make(nx=1, ny=1)
-    sysm = TriangularSystem(ring, [QuasiMonic(P(ring, "y1^2 - x1^2"), 1)])
+    sysm = [QuasiMonic(P(ring, "y1^2 - x1^2"), 1)]
     out = select_component(sysm, [1, 1])
     assert module_equal(out, ideal(ring, [P(ring, "y1 - x1")]))
     out2 = select_component(sysm, [1, -1])
@@ -122,15 +122,15 @@ def test_is_square_on_seeded_squares():
 
 def test_select_component_rejects_singular_witness():
     ring = Ring.make(nx=1, ny=1)
-    sysm = TriangularSystem(ring, [QuasiMonic(P(ring, "y1^2 - x1^2"), 1)])
+    sysm = [QuasiMonic(P(ring, "y1^2 - x1^2"), 1)]
     with pytest.raises(UnsupportedInputError):
         select_component(sysm, [0, 0])
 
 
 def test_select_component_rejects_two_nonlinear():
     ring = Ring.make(nx=1, ny=2)
-    sysm = TriangularSystem(ring, [QuasiMonic(P(ring, "y1^2 - x1"), 1),
-                                   QuasiMonic(P(ring, "y2^2 - x1"), 2)])
+    sysm = [QuasiMonic(P(ring, "y1^2 - x1"), 1),
+            QuasiMonic(P(ring, "y2^2 - x1"), 2)]
     with pytest.raises(UnsupportedInputError):
         select_component(sysm, [1, 1, 1])
 
@@ -140,7 +140,7 @@ def test_select_component_saturates_leading_coefficient():
     # returned as it comes, so it must already be the reduced basis
     ring = Ring.make(nx=1, ny=1)
     for text, witness in (("x1*y1 - 1", [1, 1]), ("x1^2*y1 - x1 - 1", [1, 2])):
-        sysm = TriangularSystem(ring, [QuasiMonic(P(ring, text), 1)])
+        sysm = [QuasiMonic(P(ring, text), 1)]
         out = select_component(sysm, witness)
         assert module_equal(out, ideal(ring, [P(ring, text)]))
         assert out.is_groebner
