@@ -217,14 +217,11 @@ def parse_stratum(section, k=None):
         tmat = _parse_matrix(value, line)
 
     try:
-        if k is not None:
-            st = Stratum(n=n, m=m, p=p, ring=ring, u_desc=u_desc,
-                         anns_y=anns_y, anns_z=anns_z, witness=witness, T=None)
-            return st, tmat
-        return Stratum(n=n, m=m, p=p, ring=ring, u_desc=u_desc,
-                       anns_y=anns_y, anns_z=anns_z, witness=witness, T=tmat)
+        st = Stratum(n=n, m=m, p=p, ring=ring, u_desc=u_desc, anns_y=anns_y,
+                     anns_z=anns_z, witness=witness, T=tmat if k is None else None)
     except StructuralError as exc:
         raise ManifestError("bad stratum: %s" % exc, section.line) from None
+    return st if k is None else (st, tmat)
 
 
 def parse_strata_manifest(text):
