@@ -477,7 +477,7 @@ x1
     assert code == 3
 
 
-_SINGULAR_OPERATOR = """
+_OPERATOR_WITH_MAP = """
 [operator]
 n = 1
 j = 1
@@ -493,7 +493,7 @@ T = %s
 1 ; 1 ; (0) ; () ; 1
 """
 
-_SINGULAR_STRATA = """
+_STRATUM_WITH_MAP = """
 [stratum]
 n = 1
 m = 0
@@ -505,10 +505,10 @@ T = %s
 
 
 @pytest.mark.parametrize("command, text, code, message", [
-    ("mclosure", _SINGULAR_OPERATOR % "0", 3, "T is singular"),
-    ("vanish", _SINGULAR_STRATA % "0,0 ; 0,0", 3, "T is singular"),
-    ("mclosure", _SINGULAR_OPERATOR % "1,0 ; 0,1", 2, "T has wrong shape"),
-    ("vanish", _SINGULAR_STRATA % "1", 2, "T has wrong shape"),
+    ("mclosure", _OPERATOR_WITH_MAP % "0", 3, "T is singular"),
+    ("vanish", _STRATUM_WITH_MAP % "0,0 ; 0,0", 3, "T is singular"),
+    ("mclosure", _OPERATOR_WITH_MAP % "1,0 ; 0,1", 2, "T has wrong shape"),
+    ("vanish", _STRATUM_WITH_MAP % "1", 2, "T has wrong shape"),
 ], ids=["mclosure-singular", "vanish-singular", "mclosure-shape", "vanish-shape"])
 def test_bad_coordinate_map_is_rejected_at_parse_time(tmp_path, capsys, monkeypatch,
                                                       command, text, code, message):
