@@ -5,9 +5,9 @@ exponent search.
 Run:  python demos/01_groebner_basics.py
 """
 
-from diffmod import (LinearSystemOverRing, Polynomial, Ring, buchberger,
-                     critical_l, ideal, intersect, normal_form, saturate,
-                     solve_inhomogeneous, syzygy_module)
+from diffmod import (Polynomial, PolyVec, Ring, buchberger, critical_l, ideal,
+                     intersect, normal_form, saturate, solve_inhomogeneous,
+                     syzygy_module)
 
 ring = Ring(("x", "y", "z"), "xxx")
 parse = lambda s: Polynomial.parse(ring, s)
@@ -34,8 +34,10 @@ syz = syzygy_module([parse("x"), parse("y")])
 print("syzygies of (x, y):", [s.text() for s in syz.gens])
 
 # Inhomogeneous solving: decide x*P1 + y*P2 = x^2 + y^2 and produce a P.
-system = LinearSystemOverRing([[parse("x"), parse("y")]], [parse("x^2 + y^2")])
-print("solve x*P1 + y*P2 = x^2+y^2:", solve_inhomogeneous(system).text())
+# A matrix is a list of its columns, here the 1-vectors (x) and (y).
+columns = [PolyVec([parse("x")]), PolyVec([parse("y")])]
+print("solve x*P1 + y*P2 = x^2+y^2:",
+      solve_inhomogeneous(columns, [parse("x^2 + y^2")]).text())
 print()
 
 # Intersection and saturation.
@@ -50,6 +52,6 @@ print()
 r1 = Ring(("t",), "x")
 t = Polynomial.parse(r1, "t")
 one = Polynomial.one(r1)
-l0, module = critical_l([[t * t]], [[one]], t)
+l0, module = critical_l([PolyVec([t * t])], [PolyVec([one])], t)
 print("critical l for (A=[t^2], B=[1], Delta=t):", l0)
 print("stable module:", [s.text() for s in module.gens])

@@ -11,10 +11,9 @@ from .orders import (ModuleOrder, MonomialOrder, block_order, elim_order,
                      grevlex_order, lex_order, mono_cmp, top_order)
 from .poly import (PolyVec, Polynomial, Ring, linear_change_of_vars,
                    mat_det, mat_inverse)
-from .groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
-                       critical_l, critical_l_columns, eliminate, full_module,
-                       ideal, intersect, module_equal, normal_form,
-                       poly_exact_div, saturate, solution_module,
-                       solve_inhomogeneous, syzygy_module)
+from .groebner import (SubmoduleBasis, buchberger, critical_l,
+                       critical_l_columns, eliminate, full_module, ideal,
+                       intersect, module_equal, normal_form, poly_exact_div,
+                       saturate, solve_inhomogeneous, syzygy_module)
 
 __version__ = "0.1.0"

@@ -14,15 +14,16 @@ from fractions import Fraction
 
 from .errors import (DomainError, ManifestError, StructuralError,
                      UnsupportedInputError, WitnessSearchError)
-from .groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
-                       critical_l, eliminate, intersect, normal_form,
-                       saturate, solve_inhomogeneous, syzygy_module)
+from .groebner import (SubmoduleBasis, buchberger, critical_l, eliminate,
+                       intersect, normal_form, saturate, solve_inhomogeneous,
+                       syzygy_module)
 from .manifest import (need, parse_desc_section, parse_operator_lines,
                        parse_operator_manifest, parse_order, parse_poly,
                        parse_ring, parse_strata_manifest, parse_vec,
                        parse_vec_lines, section_map, split_sections)
 from .orders import top_order
 from .pipeline import main_mclosure
+from .poly import PolyVec
 from .quasimonic import QuasiMonic, reduce_mod_powers
 from .realroots import find_witness_point, isolate_real_roots
 from .vanishing import vanishing_ideal
@@ -46,11 +47,8 @@ _ALLOWED = {
 
 
 def _reject_unknown(command, smap):
-    allowed = _ALLOWED.get(command)
-    if allowed is None:
-        return
     for name, secs in smap.items():
-        if name not in allowed:
+        if name not in _ALLOWED[command]:
             raise ManifestError("unknown section [%s] for %s" % (name, command),
                                 secs[0].line)
 
@@ -63,13 +61,11 @@ def _print_basis(basis, order=None):
         print(g.text(order))
 
 
-def _ring_and_map(text, args=None, command=None):
-    sections = split_sections(text)
-    smap = section_map(sections)
-    if command is not None:
-        _reject_unknown(command, smap)
+def _ring_and_map(text, args, command):
+    smap = section_map(split_sections(text))
+    _reject_unknown(command, smap)
     ring, order = parse_ring(need(smap, "ring"))
-    if args is not None and args.order:
+    if args.order:
         order = parse_order(args.order)
     return ring, order, smap
 
@@ -144,12 +140,19 @@ def cmd_eliminate(text, args):
     return 0
 
 
+def _transpose(rows):
+    """The column vectors of a matrix given by its rows; rows of unequal
+    length raise StructuralError."""
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise StructuralError("ragged matrix")
+    return [PolyVec(col) for col in zip(*(r.comps for r in rows))]
+
+
 def cmd_solve(text, args):
     ring, order, smap = _ring_and_map(text, args, 'solve')
-    rows = [parse_vec(ring, t, l) for t, l in need(smap, "matrix").payload]
+    rows = parse_vec_lines(ring, need(smap, "matrix"))
     rhs = [parse_poly(ring, t, l) for t, l in need(smap, "rhs").payload]
-    sys_ = LinearSystemOverRing([list(r.comps) for r in rows], rhs)
-    sol = solve_inhomogeneous(sys_)
+    sol = solve_inhomogeneous(_transpose(rows), rhs)
     if sol is None:
         print("no solution")
     else:
@@ -159,10 +162,15 @@ def cmd_solve(text, args):
 
 def cmd_critical_l(text, args):
     ring, order, smap = _ring_and_map(text, args, 'critical-l')
-    amat = [list(parse_vec(ring, t, l).comps) for t, l in need(smap, "amatrix").payload]
-    bmat = [list(parse_vec(ring, t, l).comps) for t, l in need(smap, "bmatrix").payload]
+    amat = parse_vec_lines(ring, need(smap, "amatrix"))
+    bmat = parse_vec_lines(ring, need(smap, "bmatrix"))
     delta = parse_poly(ring, *_line(smap, "delta"))
-    l0, module = critical_l(amat, bmat, delta)
+    # row counts are checked before raggedness
+    if not bmat:
+        raise StructuralError("empty B matrix")
+    if amat and len(amat) != len(bmat):
+        raise StructuralError("A/B row mismatch")
+    l0, module = critical_l(_transpose(amat), _transpose(bmat), delta)
     print("l0 = %d" % l0)
     _print_basis(module, order)
     return 0

@@ -21,16 +21,17 @@ computation.
 Higher-level operations: syzygies and inhomogeneous solving (solution
 modules of linear systems over the ring), intersection by the tag
 variable, elimination, module equality, and the critical exponent of
-chains M_0 <= M_1 <= ...  Syzygies, intersection, elimination and the
-critical exponent share one routine, `_eliminate_tag`.  The critical
-exponent takes its system as sparse columns {row: nonzero Polynomial}
-(`critical_l_columns`; `critical_l` is the front end for dense
-matrices) and, like saturation, eliminates t from the Rabinowitsch
-generators (t*Delta - 1) e_i.  Before that, every row with a constant
-entry in some A column is cleared from the other columns and dropped
-with that column, which changes no M_l.  A constant Delta makes the
-chain constant, so l0 = 0 and M_0 is one elimination over Q[x], with
-no t, no Rabinowitsch generators and no basis of col(A).
+chains M_0 <= M_1 <= ...  A matrix is a list of column vectors, like
+the generators of a SubmoduleBasis.  Syzygies, saturation and the
+critical exponent are one routine, `critical_l_columns`, which takes
+its columns sparse, {row: nonzero Polynomial} (`_sparse` converts a
+vector), and shares `_eliminate_tag` with intersection and elimination.
+It eliminates t from the Rabinowitsch generators (t*Delta - 1) e_i.
+Before that, every row with a constant entry in some A column is
+cleared from the other columns and dropped with that column, which
+changes no M_l.  A constant Delta, as for syzygies, makes the chain
+constant, so l0 = 0 and M_0 is one elimination over Q[x], with no t,
+no Rabinowitsch generators and no basis of col(A).
 """
 
 from __future__ import annotations
@@ -420,88 +421,54 @@ def module_equal(m1, m2):
 
 
 def syzygy_module(gens):
-    """Generators of all relations sum_k s_k * gens_k = 0.
-
-    The graph module {(g_k, e_k)} with its first j components
-    eliminated: its elements supported purely in the tag block are the
-    syzygies.
-    """
+    """Generators of all relations sum_k s_k * gens_k = 0: the module M_0 of
+    `critical_l_columns` with no A columns, B the generators and Delta = 1."""
     gens = [PolyVec([g]) if isinstance(g, Polynomial) else g for g in gens]
     if not gens:
         raise StructuralError("no generators")
-    ring, j, s = gens[0].ring, len(gens[0]), len(gens)
-    one = (0,) * ring.nvars
-    mvs = [{**vec_to_mvec(g), (j + k, one): Fraction(1)} for k, g in enumerate(gens)]
-    return SubmoduleBasis(ring, s, _eliminate_tag(mvs, ring, s, comp_elim=j))
+    ring = gens[0].ring
+    _check_ring(ring, gens)
+    return critical_l_columns(len(gens[0]), [], [_sparse(g) for g in gens],
+                              Polynomial.one(ring))[1]
 
 
-class LinearSystemOverRing:
-    """Equations sum_j A[i][j] * P_j = Q_i over the polynomial ring."""
-
-    def __init__(self, matrix, rhs=None):
-        if not matrix or not matrix[0]:
-            raise StructuralError("empty system")
-        self.ring = matrix[0][0].ring
-        width = len(matrix[0])
-        for row in matrix:
-            if len(row) != width:
-                raise StructuralError("ragged matrix")
-            for p in row:
-                if p.ring != self.ring:
-                    raise StructuralError("mixed rings in system")
-        self.matrix = [list(r) for r in matrix]
-        self.rhs = list(rhs) if rhs is not None else None
-        if self.rhs is not None and len(self.rhs) != len(self.matrix):
-            raise StructuralError("rhs length mismatch")
-
-    def columns(self):
-        rows = len(self.matrix)
-        return [PolyVec([self.matrix[i][k] for i in range(rows)])
-                for k in range(len(self.matrix[0]))]
-
-
-def solution_module(system):
-    """Generators of the module of solutions of the homogeneous system A P = 0."""
-    return syzygy_module(system.columns())
-
-
-def solve_inhomogeneous(system):
-    """A particular polynomial solution of A P = Q, or None when there is none."""
-    if system.rhs is None:
-        raise StructuralError("system has no right-hand side")
-    ring = system.ring
-    q = PolyVec(system.rhs)
-    mvs = [vec_to_mvec(c) for c in system.columns()]
+def solve_inhomogeneous(gens, target):
+    """A particular P with sum_k P_k * gens_k = target, or None when there
+    is none; `target` is a vector or a sequence of polynomials."""
+    if not gens:
+        raise StructuralError("empty system")
+    if any(len(g) != len(target) for g in gens):
+        raise StructuralError("rhs length mismatch")
+    ring = gens[0].ring
+    q = PolyVec(target)
+    _check_ring(ring, [*gens, q])
     morder = top_order()
-    gb = _buchberger_core(mvs, morder, track=True)
+    gb = _buchberger_core([vec_to_mvec(g) for g in gens], morder, track=True)
     rem, rep = _reduce(vec_to_mvec(q), gb, morder, rep={})
     if rem:
         return None
     # rem tracking gives q = -sum rep_k * gen_k
-    sol = [Polynomial.zero(ring) for _ in mvs]
+    sol = [Polynomial.zero(ring) for _ in gens]
     for (k, m), c in rep.items():
         sol[k] = sol[k] + Polynomial.monomial(ring, m, -c)
-    p = PolyVec(sol)
-    for i, row in enumerate(system.matrix):
-        acc = Polynomial.zero(ring)
-        for a, pj in zip(row, p.comps):
-            acc = acc + a * pj
-        if acc != system.rhs[i]:
-            raise DomainError("internal: solution verification failed")
-    return p
+    acc = PolyVec([Polynomial.zero(ring)] * len(q))
+    for pk, g in zip(sol, gens):
+        acc = acc + g.scale(pk)
+    if acc != q:
+        raise DomainError("internal: solution verification failed")
+    return PolyVec(sol)
 
 
-def _columns(matrix):
-    """Columns of a rectangular matrix of polynomials as {row: nonzero entry}."""
-    ncols = len(matrix[0]) if matrix else 0
-    cols = [{} for _ in range(ncols)]
-    for i, row in enumerate(matrix):
-        if len(row) != ncols:
-            raise StructuralError("ragged matrix")
-        for k, p in enumerate(row):
-            if p.terms:
-                cols[k][i] = p
-    return cols
+def _sparse(g):
+    """The vector g as a sparse column {row: nonzero Polynomial}."""
+    return {i: p for i, p in enumerate(g.comps) if p.terms}
+
+
+def _check_ring(ring, items):
+    """Raise StructuralError unless every vector or polynomial in items is
+    over ring; the core would loop forever on monomials of two lengths."""
+    if any(v.ring != ring for v in items):
+        raise StructuralError("mixed rings in system")
 
 
 def _prune(rows, a_cols, b_cols):
@@ -511,7 +478,7 @@ def _prune(rows, a_cols, b_cols):
     `critical_l_columns` and clears copies of them.  Both pipeline stages
     divide by the annihilators with a constant lead while they build
     their systems, so the unit pivots left come from non-constant leads,
-    unit entries of stage-I generators, `saturate` and `_columns`.  For
+    unit entries of stage-I generators, `saturate` and `critical_l`.  For
     an A column c whose row-r entry is a nonzero constant a, every other
     A and B column v loses (v_r / a) * c.  Then only c reaches row r, so
     a combination of A columns that is zero in row r has no c-part:
@@ -626,21 +593,23 @@ def saturate(basis, f):
     """M : f^infinity = {g : f^l * g in M for some l}, as the module M_inf
     of critical_l_columns with A the generators of M, B the identity,
     Delta = f."""
+    _check_ring(basis.ring, [f])
     one = Polynomial.one(basis.ring)
-    a_cols = [{i: p for i, p in enumerate(g.comps) if p.terms} for g in basis.gens]
     b_cols = [{i: one} for i in range(basis.j)]
-    return critical_l_columns(basis.j, a_cols, b_cols, f)[1]
+    return critical_l_columns(basis.j, [_sparse(g) for g in basis.gens], b_cols, f)[1]
 
 
-def critical_l(a_matrix, b_matrix, delta):
-    """`critical_l_columns` of dense row-major A and B, for outside callers;
-    an empty B, unequal row counts or a ragged matrix raise StructuralError."""
-    if not b_matrix or not b_matrix[0]:
+def critical_l(a_gens, b_gens, delta):
+    """`critical_l_columns` of A and B given as column vectors, for outside
+    callers; an empty B or columns of unequal length raise StructuralError."""
+    if not b_gens:
         raise StructuralError("empty B matrix")
-    if a_matrix and len(a_matrix) != len(b_matrix):
+    rows = len(b_gens[0])
+    if any(len(g) != rows for g in (*a_gens, *b_gens)):
         raise StructuralError("A/B row mismatch")
-    return critical_l_columns(len(b_matrix), _columns(a_matrix), _columns(b_matrix),
-                              delta)
+    _check_ring(delta.ring, (*a_gens, *b_gens))
+    return critical_l_columns(rows, [_sparse(g) for g in a_gens],
+                              [_sparse(g) for g in b_gens], delta)
 
 
 def critical_l_columns(rows, a_cols, b_cols, delta):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ManifestError, StructuralError
+from .operators import LinearDiffOp
 from .orders import block_order, grevlex_order, lex_order
 from .pipeline import OperatorStratum, StratifiedOperator
 from .poly import Polynomial, PolyVec, Ring
@@ -318,7 +319,6 @@ def parse_operator_manifest(text):
 
 def parse_operator_lines(ring, ncomps, section):
     """Operator rows 'coeff ; (alpha) ; component' (component is 1-based)."""
-    from .operators import LinearDiffOp
     terms = {}
     for text, line in section.payload:
         parts = [p.strip() for p in text.split(";")]

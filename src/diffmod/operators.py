@@ -20,10 +20,10 @@ from itertools import product
 from math import perm, prod
 
 from .errors import DomainError, StructuralError
-from .groebner import (LinearSystemOverRing, full_module, normal_form,
-                       solution_module)
+from .groebner import full_module, normal_form, syzygy_module
 from .poly import Polynomial, PolyVec, binom
 from .quasimonic import QuasiMonic
+from .vanishing import complexify
 
 
 def _multi_add(a, b):
@@ -48,7 +48,7 @@ class LinearDiffOp:
 
     __slots__ = ("ring", "ncomps", "terms")
 
-    def __init__(self, ring, ncomps, terms, blocks=None):
+    def __init__(self, ring, ncomps, terms):
         if ncomps < 1:
             raise StructuralError("need at least one component")
         self.ring = ring
@@ -64,11 +64,6 @@ class LinearDiffOp:
             if not (0 <= i < ncomps):
                 raise StructuralError("component index out of range")
             self.terms[(tuple(alpha), i)] = c
-        if blocks is not None:
-            actual = self.derivative_blocks()
-            if not actual <= set(blocks):
-                raise StructuralError("operator differentiates outside declared blocks %r"
-                                      % sorted(blocks))
 
     @classmethod
     def derivation(cls, ring, coeffs):
@@ -84,14 +79,6 @@ class LinearDiffOp:
 
     def order(self):
         return max((sum(a) for (a, _) in self.terms), default=-1)
-
-    def derivative_blocks(self):
-        used = set()
-        for (alpha, _) in self.terms:
-            for idx, e in enumerate(alpha):
-                if e:
-                    used.add(self.ring.blocks[idx])
-        return used
 
     def derivative_vars(self):
         used = set()
@@ -197,13 +184,14 @@ def mclosure_poly_coeffs(op):
     the order, and the accumulated system is solved over the ring.
     """
     ring, n = op.ring, op.ncomps
-    rows = []
+    cols = [[] for _ in range(n)]   # cols[i]: the coefficients of P_i
     cur = op
     while not cur.is_zero():
         s = cur.order()
         layer = sorted({alpha for (alpha, _) in cur.terms if sum(alpha) == s})
         for alpha in layer:
-            rows.append([cur.coeff(alpha, i) for i in range(n)])
+            for i, col in enumerate(cols):
+                col.append(cur.coeff(alpha, i))
         if s == 0:
             break
         for alpha in layer:
@@ -216,10 +204,9 @@ def mclosure_poly_coeffs(op):
                 cur = cur - expand
         if not cur.is_zero() and cur.order() >= s:
             raise DomainError("internal: divergence rewrite did not drop the order")
-    if not rows:
+    if not cols[0]:
         return full_module(ring, n)
-    sys = LinearSystemOverRing(rows)
-    return solution_module(sys)
+    return syzygy_module([PolyVec(col) for col in cols])
 
 
 # -- tangent frames ---------------------------------------------------------
@@ -251,7 +238,6 @@ def build_tangent_frame(stratum, vanishing=None):
     are replaced by that derivative until it does not; the test is an
     exact normal form against the stratum's vanishing ideal.
     """
-    from .vanishing import complexify
     ring = stratum.ring
     if vanishing is None:
         vanishing = complexify(stratum)

@@ -17,6 +17,7 @@ from functools import cached_property
 from operator import add
 
 from .errors import DomainError, StructuralError
+from .groebner import poly_exact_div
 from .poly import Polynomial
 
 
@@ -149,7 +150,6 @@ def reduce_mod_powers(p, qs, k):
     if delta.is_constant():
         s = 1 / delta.constant_value() ** l
         cof, r, l = [h * s for h in cof], r * s, 0
-    from .groebner import poly_exact_div
     while l > 0:
         try:
             cof2 = [poly_exact_div(h, delta) if not h.is_zero() else h for h in cof]

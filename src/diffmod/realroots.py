@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 from .errors import DomainError, StructuralError
 from .poly import Polynomial
@@ -112,14 +112,13 @@ def _squarefree(c):
 
 def _to_integer(c):
     """Scale to integer coefficients, primitive, positive leading coefficient."""
-    from math import gcd as igcd
     den = 1
     for f in c:
-        den = den * f.denominator // igcd(den, f.denominator)
+        den = den * f.denominator // gcd(den, f.denominator)
     ints = [int(f * den) for f in c]
     g = 0
     for v in ints:
-        g = igcd(g, abs(v))
+        g = gcd(g, abs(v))
     if g:
         ints = [v // g for v in ints]
     if ints and ints[-1] < 0:
@@ -394,7 +393,6 @@ _MAX_HEIGHT = 12   # witness coordinates are searched up to this height
 def rationals_by_height(max_height):
     """0, 1, -1, 1/2, -1/2, 2, -2, ... ordered by height max(|num|, den)."""
     yield Fraction(0)
-    from math import gcd
     for h in range(1, max_height + 1):
         for num in range(1, h + 1):
             for den in range(1, h + 1):

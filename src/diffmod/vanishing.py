@@ -294,9 +294,6 @@ def preprocess_annihilators(stratum, witness):
                 raise DomainError(
                     "annihilator degenerated to a base polynomial at the witness; "
                     "the witness cannot be generic on the stratum")
-            if p_.evaluate(witness) != 0:
-                raise DomainError("derivative preprocessing left the witness; "
-                                  "the witness cannot be generic on the stratum")
         out.append(QuasiMonic(p_, qm.var))
     return out
 
@@ -314,7 +311,7 @@ def complexify(stratum, budget=20000):
     return select_component(preprocess_annihilators(stratum, witness), witness)
 
 
-def vanishing_ideal(strata, ambient_ring=None, budget=20000):
+def vanishing_ideal(strata, budget=20000):
     """Ideal of polynomials vanishing on a union of strata: the intersection
     of the per-stratum ideals, each pulled back through its coordinate map."""
     if not strata:
@@ -323,7 +320,7 @@ def vanishing_ideal(strata, ambient_ring=None, budget=20000):
     for s in strata:
         if s.ring.nvars != q:
             raise StructuralError("strata live in different ambient dimensions")
-    ring = ambient_ring or Ring.make(nx=q)
+    ring = Ring.make(nx=q)
 
     result = None
     for s in strata:

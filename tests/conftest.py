@@ -36,6 +36,14 @@ def random_vec(rng, ring, j, **kw):
     return PolyVec([random_polynomial(rng, ring, **kw) for _ in range(j)])
 
 
+def random_columns(rng, ring, rows, ncols, **kw):
+    """A rows x ncols matrix of random polynomials, drawn row by row, as
+    its column vectors."""
+    matrix = [[random_polynomial(rng, ring, **kw) for _ in range(ncols)]
+              for _ in range(rows)]
+    return [PolyVec(col) for col in zip(*matrix)]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

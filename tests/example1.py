@@ -9,7 +9,7 @@ from diffmod.poly import Polynomial, Ring
 from diffmod.realroots import SemialgebraicDescription, atom, desc_and
 from diffmod.vanishing import Stratum
 
-AMBIENT = Ring(("x", "y", "z"), "xxx")
+AMBIENT = Ring.make(nx=3)   # (x, y, z) = (x1, x2, x3), the ring of vanishing_ideal
 
 
 def P(ring, s):

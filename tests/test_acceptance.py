@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l, ideal,
-                              module_equal, normal_form, vec_to_mvec,
-                              _Gen, _reduce, _spair)
+                              module_equal, normal_form, syzygy_module,
+                              vec_to_mvec, _Gen, _reduce, _spair)
 from diffmod.operators import (LinearDiffOp, build_tangent_frame,
                                eliminate_x_derivatives, mclosure_poly_coeffs)
 from diffmod.pipeline import (algorithm_I, algorithm_II, algorithm_IV,
@@ -21,7 +21,7 @@ from diffmod.quasimonic import QuasiMonic, delta_of, reduce_mod_powers
 from diffmod.realroots import isolate_real_roots, refine_interval
 from diffmod.vanishing import Stratum, complexify, vanishing_ideal
 
-from conftest import random_polynomial, random_nonzero_polynomial
+from conftest import random_columns, random_nonzero_polynomial, random_polynomial
 from example1 import (AMBIENT, indicator_operator, negative_level_strata,
                       positive_level_strata)
 from oracle import membership_by_linear_algebra
@@ -40,8 +40,8 @@ def report(num, ok, detail):
 
 def test_criterion_01_example_negative_level():
     start = time.monotonic()
-    out = vanishing_ideal(negative_level_strata(), ambient_ring=AMBIENT)
-    want = ideal(AMBIENT, [P(AMBIENT, "x"), P(AMBIENT, "y")])
+    out = vanishing_ideal(negative_level_strata())
+    want = ideal(AMBIENT, [P(AMBIENT, "x1"), P(AMBIENT, "x2")])
     ok = module_equal(out, want)
     elapsed = time.monotonic() - start
     report(1, ok and elapsed < 10,
@@ -50,8 +50,8 @@ def test_criterion_01_example_negative_level():
 
 def test_criterion_02_example_positive_level():
     start = time.monotonic()
-    out = vanishing_ideal(positive_level_strata(), ambient_ring=AMBIENT)
-    want = ideal(AMBIENT, [P(AMBIENT, "x^2 - z*y^2")])
+    out = vanishing_ideal(positive_level_strata())
+    want = ideal(AMBIENT, [P(AMBIENT, "x1^2 - x3*x2^2")])
     ok = module_equal(out, want)
     elapsed = time.monotonic() - start
     report(2, ok and elapsed < 60,
@@ -62,14 +62,14 @@ def test_criterion_03_indicator_bridge():
     start = time.monotonic()
     pos_map = {i: i for i in range(3)}
     res_neg = main_mclosure(indicator_operator(negative_level_strata()))
-    want_neg = ideal(AMBIENT, [P(AMBIENT, "x"), P(AMBIENT, "y")])
+    want_neg = ideal(AMBIENT, [P(AMBIENT, "x1"), P(AMBIENT, "x2")])
     lifted_neg = SubmoduleBasis(AMBIENT, 1,
                                 [PolyVec([g[0].lift(AMBIENT, pos_map)])
                                  for g in res_neg.basis.gens])
     ok_neg = module_equal(lifted_neg, want_neg)
 
     res_pos = main_mclosure(indicator_operator(positive_level_strata()))
-    want_pos = ideal(AMBIENT, [P(AMBIENT, "x^2 - z*y^2")])
+    want_pos = ideal(AMBIENT, [P(AMBIENT, "x1^2 - x3*x2^2")])
     lifted_pos = SubmoduleBasis(AMBIENT, 1,
                                 [PolyVec([g[0].lift(AMBIENT, pos_map)])
                                  for g in res_pos.basis.gens])
@@ -167,19 +167,13 @@ def test_criterion_06_critical_l_contract():
         rows = rng.randint(1, 2)
         ja = rng.randint(1, 3)
         kb = rng.randint(1, 2)
-        a = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
-              for _ in range(ja)] for _ in range(rows)]
-        b = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
-              for _ in range(kb)] for _ in range(rows)]
+        a = random_columns(rng, ring, rows, ja, deg=2, nterms=2, height=3)
+        b = random_columns(rng, ring, rows, kb, deg=2, nterms=2, height=3)
         delta = random_nonzero_polynomial(rng, ring, deg=2, nterms=2, height=3)
         l0, m_l0 = critical_l(a, b, delta)
 
         def module_for(l):
-            dl = delta ** l
-            cols = [PolyVec([b[i][kk] * dl for i in range(rows)]) for kk in range(kb)]
-            cols += [PolyVec([a[i][jj] for i in range(rows)]) for jj in range(ja)]
-            from diffmod.groebner import syzygy_module
-            syz = syzygy_module(cols)
+            syz = syzygy_module([v.scale(delta ** l) for v in b] + a)
             gens = [PolyVec(s.comps[:kb]) for s in syz.gens
                     if not PolyVec(s.comps[:kb]).is_zero()] or []
             return SubmoduleBasis(ring, kb, gens)

@@ -387,17 +387,39 @@ t
     assert lines[1] == "1"
 
 
-@pytest.mark.parametrize("amatrix, bmatrix", [
-    ("x\ny ; x", "1\n1"),
-    ("x ; y\ny", "1\n1"),
-    ("x\ny", "1 ; y\n1"),
-], ids=["short-first-A-row", "short-last-A-row", "ragged-B"])
-def test_critical_l_rejects_ragged_matrices(tmp_path, capsys, amatrix, bmatrix):
+# an input with two faults reports the one checked first: an empty B, then
+# unequal row counts, then a ragged A, then a ragged B
+@pytest.mark.parametrize("amatrix, bmatrix, message", [
+    ("x\ny ; x", "1\n1", "ragged matrix"),
+    ("x ; y\ny", "1\n1", "ragged matrix"),
+    ("x\ny", "1 ; y\n1", "ragged matrix"),
+    ("x\ny ; x", "", "empty B matrix"),
+    ("x\ny ; x", "1", "A/B row mismatch"),
+    ("x", "1 ; y\n1", "A/B row mismatch"),
+], ids=["short-first-A-row", "short-last-A-row", "ragged-B", "ragged-A-empty-B",
+        "ragged-A-row-mismatch", "ragged-B-row-mismatch"])
+def test_critical_l_rejects_ragged_matrices(tmp_path, capsys, amatrix, bmatrix, message):
     text = "[ring]\nx = x, y\n[amatrix]\n%s\n[bmatrix]\n%s\n[delta]\nx\n" % (amatrix, bmatrix)
     path = write(tmp_path, "ragged.txt", text)
     code, out, err = run_cli(capsys, ["critical-l", path])
-    assert (code, out) == (3, "")
-    assert "ragged matrix" in err
+    assert (code, out, err) == (3, "", "error: %s\n" % message)
+
+
+# the checks run in the order: an empty matrix, a ragged one, a wrong rhs length
+@pytest.mark.parametrize("matrix, rhs, message", [
+    ("", "x", "empty system"),
+    ("x ; y\nx", "1\n1", "ragged matrix"),
+    ("x ; y", "1\n1", "rhs length mismatch"),
+    ("", "", "empty system"),
+    ("x ; y\nx", "1", "ragged matrix"),
+    ("x ; y", "", "rhs length mismatch"),
+], ids=["empty", "ragged", "rhs-length", "empty-matrix-and-rhs", "ragged-rhs-length",
+        "empty-rhs"])
+def test_solve_rejects_malformed_systems(tmp_path, capsys, matrix, rhs, message):
+    text = "[ring]\nx = x, y\n[matrix]\n%s\n[rhs]\n%s\n" % (matrix, rhs)
+    path = write(tmp_path, "system.txt", text)
+    code, out, err = run_cli(capsys, ["solve", path])
+    assert (code, out, err) == (3, "", "error: %s\n" % message)
 
 
 def test_outputs_reparse_through_consuming_stage(tmp_path, capsys):

@@ -5,19 +5,19 @@ from pathlib import Path
 import pytest
 
 from diffmod import groebner, pipeline
-from diffmod.errors import DomainError
-from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
-                              critical_l, eliminate, full_module, ideal,
-                              intersect, module_equal, normal_form,
-                              poly_exact_div, saturate, solution_module,
-                              solve_inhomogeneous, syzygy_module, vec_to_mvec,
-                              _Gen, _reduce, _spair)
+from diffmod.errors import DomainError, StructuralError
+from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l,
+                              eliminate, full_module, ideal, intersect,
+                              module_equal, normal_form, poly_exact_div,
+                              saturate, solve_inhomogeneous, syzygy_module,
+                              vec_to_mvec, _Gen, _reduce, _spair)
 from diffmod.manifest import parse_operator_manifest
 from diffmod.orders import (ModuleOrder, block_order, grevlex_order, lex_order,
                             top_order)
 from diffmod.poly import Polynomial, PolyVec, Ring
 
-from conftest import random_nonzero_polynomial, random_polynomial, random_vec
+from conftest import (random_columns, random_nonzero_polynomial, random_polynomial,
+                      random_vec)
 from oracle import membership_by_linear_algebra, vec_membership_by_linear_algebra
 
 RXY = Ring(("x", "y"), "xx")
@@ -89,17 +89,30 @@ def test_syzygy_unit_and_duplicate():
 
 def test_solve_inhomogeneous_cases():
     x, y = P(RXY, "x"), P(RXY, "y")
-    sys1 = LinearSystemOverRing([[x]], [P(RXY, "x^2")])
-    sol = solve_inhomogeneous(sys1)
+    sol = solve_inhomogeneous([PolyVec([x])], [P(RXY, "x^2")])
     assert sol is not None and sol[0] * x == P(RXY, "x^2")
 
-    sys2 = LinearSystemOverRing([[x]], [y])
-    assert solve_inhomogeneous(sys2) is None
+    assert solve_inhomogeneous([PolyVec([x])], [y]) is None
 
-    sys3 = LinearSystemOverRing([[x, y]], [P(RXY, "x^2 + y^2")])
-    sol = solve_inhomogeneous(sys3)
+    sol = solve_inhomogeneous([PolyVec([x]), PolyVec([y])], PolyVec([P(RXY, "x^2 + y^2")]))
     assert sol is not None
     assert sol[0] * x + sol[1] * y == P(RXY, "x^2 + y^2")
+
+    with pytest.raises(StructuralError, match="empty system"):
+        solve_inhomogeneous([], [x])
+    with pytest.raises(StructuralError, match="rhs length mismatch"):
+        solve_inhomogeneous([PolyVec([x, y])], [x])
+
+
+def test_mixed_rings_are_rejected():
+    # the core never terminates on monomials of two lengths
+    x, z = P(RXY, "x"), P(RXYZ, "z")
+    for call in (lambda: syzygy_module([PolyVec([x]), PolyVec([z])]),
+                 lambda: saturate(ideal(RXY, [x]), z),
+                 lambda: critical_l([PolyVec([x])], [PolyVec([z])], x),
+                 lambda: solve_inhomogeneous([PolyVec([x])], [z])):
+        with pytest.raises(StructuralError, match="mixed rings in system"):
+            call()
 
 
 def test_intersect_principal():
@@ -156,44 +169,45 @@ def test_critical_l_examples():
     x = P(r1, "x")
     one = Polynomial.one(r1)
 
-    l0, m = critical_l([[x]], [[x]], x)
+    l0, m = critical_l([PolyVec([x])], [PolyVec([x])], x)
     assert l0 == 0
     assert module_equal(m, SubmoduleBasis(r1, 1, [PolyVec([one])]))
 
-    l0, m = critical_l([[x]], [[one]], x)
+    l0, m = critical_l([PolyVec([x])], [PolyVec([one])], x)
     assert l0 == 1
     assert module_equal(m, SubmoduleBasis(r1, 1, [PolyVec([one])]))
 
-    l0, m = critical_l([[x * x]], [[one]], x)
+    l0, m = critical_l([PolyVec([x * x])], [PolyVec([one])], x)
     assert l0 == 2
     assert module_equal(m, SubmoduleBasis(r1, 1, [PolyVec([one])]))
 
     with pytest.raises(DomainError):
-        critical_l([[x]], [[one]], Polynomial.zero(r1))
+        critical_l([PolyVec([x])], [PolyVec([one])], Polynomial.zero(r1))
+    with pytest.raises(StructuralError, match="empty B matrix"):
+        critical_l([PolyVec([x])], [], x)
+    with pytest.raises(StructuralError, match="A/B row mismatch"):
+        critical_l([PolyVec([x, x])], [PolyVec([one])], x)
 
 
 def _criterion6_instances():
-    """The (A, B, Delta) family of acceptance criterion 6, drawn from seed 66."""
+    """The (A, B, Delta) family of acceptance criterion 6, drawn from seed
+    66, with A and B as column vectors."""
     rng = random.Random(66)
     ring = Ring.make(nx=2)
     for _ in range(50):
         rows = rng.randint(1, 2)
         ja = rng.randint(1, 3)
         kb = rng.randint(1, 2)
-        a = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
-              for _ in range(ja)] for _ in range(rows)]
-        b = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
-              for _ in range(kb)] for _ in range(rows)]
+        a = random_columns(rng, ring, rows, ja, deg=2, nterms=2, height=3)
+        b = random_columns(rng, ring, rows, kb, deg=2, nterms=2, height=3)
         delta = random_nonzero_polynomial(rng, ring, deg=2, nterms=2, height=3)
         yield a, b, delta
 
 
 def _chain_module(a, b, delta, l):
     """M_l = {P : Delta^l * B P in col(A)}, through its own syzygy module."""
-    rows, kb = len(b), len(b[0])
-    dl = delta ** l
-    cols = [PolyVec([b[i][k] * dl for i in range(rows)]) for k in range(kb)]
-    cols += [PolyVec([a[i][j] for i in range(rows)]) for j in range(len(a[0]))]
+    kb = len(b)
+    cols = [v.scale(delta ** l) for v in b] + list(a)
     gens = [PolyVec(s.comps[:kb]) for s in syzygy_module(cols).gens]
     return SubmoduleBasis(delta.ring, kb, [g for g in gens if not g.is_zero()])
 
@@ -217,9 +231,8 @@ def test_critical_l_is_minimal_and_saturate_matches_oracle():
               for _ in range(rng.randint(1, 2))]
         m = SubmoduleBasis(RXY, j, [v.scale(f ** rng.randint(0, 2)) for v in vs])
         sat = saturate(m, f)
-        identity = [[Polynomial.one(RXY) if r == c else Polynomial.zero(RXY)
-                     for c in range(j)] for r in range(j)]
-        l0, _ = critical_l([[g[r] for g in m.gens] for r in range(j)], identity, f)
+        identity = [PolyVec.unit(RXY, j, k) for k in range(j)]
+        l0, _ = critical_l(m.gens, identity, f)
         for g in list(m.gens) + [v for v in vs if not v.is_zero()]:
             deg = max(p.degree() for p in g.comps)
             assert vec_membership_by_linear_algebra(g, list(sat.gens), degcap=deg)
@@ -245,8 +258,8 @@ def test_critical_l_with_a_unit_delta_builds_one_basis(monkeypatch):
     # no entry is constant, so no row is pre-eliminated; a unit Delta
     # needs neither the Rabinowitsch generators nor a basis of col(A)
     x, y = P(RXY, "x"), P(RXY, "y")
-    a = [[x * y, y * y], [x, x + y]]
-    b = [[x], [y]]
+    a = [PolyVec([x * y, x]), PolyVec([y * y, x + y])]
+    b = [PolyVec([x, y])]
     cores = _counting_cores(monkeypatch)
     l0, m = critical_l(a, b, Polynomial.constant(RXY, Fraction(-3, 2)))
     assert (l0, len(cores)) == (0, 1)
@@ -262,24 +275,27 @@ def _with_unit_row(rng, a, b):
     elsewhere.  Then a random multiple of row r is added to every other
     row: a row operation, so every M_l stays the same, and it fills the new
     column, so pruning row r must divide by the constant."""
-    ring = b[0][0].ring
-    at, col = rng.randint(0, len(b)), rng.randint(0, len(a[0]))
+    ring = b[0].ring
+    rows = len(b[0])
+    at, col = rng.randint(0, rows), rng.randint(0, len(a))
 
     def entries(k):
         return [random_polynomial(rng, ring, deg=2, nterms=2, height=3) for _ in range(k)]
 
-    zero = Polynomial.zero(ring)
-    a2 = [row[:col] + [zero] + row[col:] for row in a]
+    a2 = [list(v.comps) for v in a]
+    a2.insert(col, [Polynomial.zero(ring)] * rows)
     pivot = Polynomial.constant(ring, Fraction(rng.randint(1, 9), rng.choice([-3, -2, 2, 5])))
-    a2.insert(at, entries(col) + [pivot] + entries(len(a[0]) - col))
-    b2 = [list(row) for row in b]
-    b2.insert(at, entries(len(b[0])))
-    for i in range(len(b2)):
+    b2 = [list(v.comps) for v in b]
+    for cols, row in ((a2, entries(col) + [pivot] + entries(len(a) - col)),
+                      (b2, entries(len(b)))):
+        for v, e in zip(cols, row):
+            v.insert(at, e)
+    for i in range(rows + 1):
         if i != at:
             w = random_polynomial(rng, ring, deg=1, nterms=1, height=3)
-            a2[i] = [e + w * f for e, f in zip(a2[i], a2[at])]
-            b2[i] = [e + w * f for e, f in zip(b2[i], b2[at])]
-    return a2, b2
+            for v in a2 + b2:
+                v[i] = v[i] + w * v[at]
+    return [PolyVec(v) for v in a2], [PolyVec(v) for v in b2]
 
 
 def test_critical_l_unchanged_by_a_row_with_a_unit_pivot():
@@ -381,14 +397,6 @@ def test_membership_agrees_with_brute_force_random():
             if f.is_zero():
                 continue
             assert nf_zero == brute
-
-
-def test_solution_module_matches_syzygy():
-    x, y = P(RXY, "x"), P(RXY, "y")
-    sys = LinearSystemOverRing([[x, y]])
-    sols = solution_module(sys)
-    for s in sols.gens:
-        assert (s[0] * x + s[1] * y).is_zero()
 
 
 def test_full_module_and_intersection_with_it():

@@ -180,6 +180,31 @@ def test_pipeline_builds_its_systems_in_one_place():
     assert not {f.name for f in defs} & {"_bucket", "_sparse_columns"}
 
 
+def test_linear_systems_reach_one_solver():
+    # a matrix is a list of column vectors everywhere; syzygies, saturation
+    # and the critical exponent eliminate row components only inside
+    # critical_l_columns, and no dense system type or converter is left
+    src = os.path.dirname(os.path.abspath(diffmod.__file__))
+    callers, names = set(), set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "_eliminate_tag"
+                        and any(k.arg == "comp_elim" for k in call.keywords)):
+                    callers.add(node.name)
+    assert callers == {"critical_l_columns"}, callers
+    assert not names & {"LinearSystemOverRing", "solution_module", "_columns"}
+
+
 def test_ambient_maps_go_through_one_pull_back():
     # outside poly.py only vanishing.pull_back applies a coordinate map T,
     # and no second wrapper re-checks the annihilators a Stratum checked

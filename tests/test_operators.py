@@ -74,13 +74,6 @@ def test_apply_is_linear():
             L.apply(v) * c + L.apply(w)
 
 
-def test_declared_blocks_checked():
-    ring = RXY
-    with pytest.raises(StructuralError):
-        LinearDiffOp(ring, 1, {((1, 0), 0): 1}, blocks={"y"})
-    LinearDiffOp(ring, 1, {((1, 0), 0): 1}, blocks={"x", "y"})
-
-
 def test_scalar_op_composition_leibniz():
     ring = RXY
     dx = LinearDiffOp(ring, 1, {((1, 0), 0): 1})
@@ -266,7 +259,7 @@ def test_lift_operator_examples():
     ring = Ring.make(nx=1, ny=0, nz=1)
     L = lift_operator([(1, 0, (1,), (), 1)], ring, 1, 1, 0, 1)
     assert L == LinearDiffOp(ring, 1, {((1, 0), 0): P(ring, "z1")})
-    assert L.derivative_blocks() == {"x"}
+    assert L.derivative_vars() == {0}
 
     ring2 = Ring.make(nx=1, ny=0, nz=2)
     L2 = lift_operator([(1, 0, (1,), (), 1), (2, 0, (0,), (), 1)], ring2, 1, 1, 0, 2)

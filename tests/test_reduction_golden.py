@@ -15,9 +15,8 @@ Regenerate only when a change of output is intended:
 import random
 from pathlib import Path
 
-from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, critical_l,
-                              eliminate, intersect, saturate,
-                              solve_inhomogeneous, syzygy_module)
+from diffmod.groebner import (SubmoduleBasis, critical_l, eliminate, intersect,
+                              saturate, solve_inhomogeneous, syzygy_module)
 from diffmod.poly import Polynomial, PolyVec, Ring
 
 from conftest import random_nonzero_polynomial, random_polynomial
@@ -55,14 +54,13 @@ def render():
         lines.append("# seed %d, j=%d" % (seed, j))
 
         cols = _vecs(rng, j, rng.randint(1, 3))
-        matrix = [[c[i] for c in cols] for i in range(j)]
         if rng.random() < 0.6:
             p = [_poly(rng) for _ in cols]
-            rhs = [sum((a * q for a, q in zip(row, p)), Polynomial.zero(RING))
-                   for row in matrix]
+            rhs = [sum((c[i] * q for c, q in zip(cols, p)), Polynomial.zero(RING))
+                   for i in range(j)]
         else:
             rhs = [_poly(rng) for _ in range(j)]
-        sol = solve_inhomogeneous(LinearSystemOverRing(matrix, rhs))
+        sol = solve_inhomogeneous(cols, rhs)
         lines.append("solve " + ("none" if sol is None else sol.text()))
 
         lines += _basis_lines("syz", list(syzygy_module(cols).gens))
@@ -75,14 +73,13 @@ def render():
         lines += _basis_lines("saturate", list(saturate(left, f).gens))
 
         b_cols = _vecs(rng, j, 1)
-        b_matrix = [[c[i] for c in b_cols] for i in range(j)]
         delta = random_nonzero_polynomial(rng, RING, deg=1, nterms=2, height=5)
         if seed % 2:
             # col(Delta * A) makes the chain grow past M_0
-            a_matrix = [[a * delta for a in row] for row in matrix]
+            a_cols = [c.scale(delta) for c in cols]
         else:
-            a_matrix = matrix
-        l0, mod = critical_l(a_matrix, b_matrix, delta)
+            a_cols = cols
+        l0, mod = critical_l(a_cols, b_cols, delta)
         lines += _basis_lines("critical_l l0=%d" % l0, list(mod.gens))
 
         drop = [rng.randrange(RING.nvars)]

@@ -5,15 +5,16 @@ end-to-end operator modules with derivative jets."""
 import random
 from fractions import Fraction
 
-from diffmod.groebner import (LinearSystemOverRing, SubmoduleBasis, buchberger,
-                              critical_l, ideal, intersect, module_equal,
-                              normal_form, solve_inhomogeneous, syzygy_module,
-                              vec_to_mvec, _Gen, _reduce, _spair)
+from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l, ideal,
+                              intersect, module_equal, normal_form,
+                              solve_inhomogeneous, syzygy_module, vec_to_mvec,
+                              _Gen, _reduce, _spair)
 from diffmod.pipeline import (OperatorStratum, StratifiedOperator, main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring
 from diffmod.vanishing import Stratum
 
-from conftest import random_nonzero_polynomial, random_polynomial, random_vec
+from conftest import (random_columns, random_nonzero_polynomial, random_polynomial,
+                      random_vec)
 from oracle import vec_membership_by_linear_algebra
 
 RXY = Ring(("x", "y"), "xx")
@@ -103,23 +104,16 @@ def test_critical_l_generators_actually_solve():
         rows = rng.randint(1, 2)
         ja = rng.randint(1, 2)
         kb = rng.randint(1, 2)
-        a = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
-              for _ in range(ja)] for _ in range(rows)]
-        b = [[random_polynomial(rng, ring, deg=2, nterms=2, height=3)
-              for _ in range(kb)] for _ in range(rows)]
+        a = random_columns(rng, ring, rows, ja, deg=2, nterms=2, height=3)
+        b = random_columns(rng, ring, rows, kb, deg=2, nterms=2, height=3)
         delta = random_nonzero_polynomial(rng, ring, deg=1, nterms=2, height=3)
         l0, mod = critical_l(a, b, delta)
         dl = delta ** l0
         for gen in mod.gens:
-            rhs = []
-            for i in range(rows):
-                acc = Polynomial.zero(ring)
-                for k in range(kb):
-                    acc = acc + dl * b[i][k] * gen[k]
-                rhs.append(acc)
-            sys_ = LinearSystemOverRing(a, rhs)
-            sol = solve_inhomogeneous(sys_)
-            assert sol is not None
+            rhs = PolyVec([Polynomial.zero(ring)] * rows)
+            for bk, gk in zip(b, gen.comps):
+                rhs = rhs + bk.scale(dl * gk)
+            assert solve_inhomogeneous(a, rhs) is not None
 
 
 def test_main_derivative_jet_at_a_point():
