@@ -244,7 +244,7 @@ def _parse_multi(text, line, length):
     inner = text[1:-1].strip()
     parts = [p.strip() for p in inner.split(",")] if inner else []
     try:
-        multi = tuple(int(p) for p in parts if p != "")
+        multi = tuple(int(p) for p in parts)
     except ValueError:
         raise ManifestError("bad multi-index %r" % text, line) from None
     if len(multi) != length:

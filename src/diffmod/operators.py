@@ -9,8 +9,13 @@ be checked by canonical equality.
 
 The tangent frame of a stratum rewrites away base-variable derivatives:
 Delta^D L = sum over |alpha| <= M of X^alpha composed with an operator
-that differentiates graph variables only.  The expansion never divides
-by Delta; the exponent D is whatever the recursion incurs.
+that differentiates graph variables only.  Each piece is keyed by its
+full-length multi-index alpha, X^alpha = X_1^alpha_1 o X_2^alpha_2 o ...
+At top order (Delta d_x)^a is (X - Y)^a, expanded as one item per X-count
+k <= a: every choice of X or -Y with the same counts gives the same word
+and tail, and the push of a coefficient through X^k is linear, so the
+merge is exact.  The expansion never divides by Delta; the exponent D is
+whatever the recursion incurs.
 """
 
 from __future__ import annotations
@@ -55,14 +60,14 @@ class LinearDiffOp:
         self.ncomps = ncomps
         self.terms = {}
         for (alpha, i), c in terms.items():
-            if isinstance(c, (int, Fraction)):
-                c = Polynomial.constant(ring, c)
-            if c.is_zero():
-                continue
             if len(alpha) != ring.nvars:
                 raise StructuralError("multi-index length mismatch")
             if not (0 <= i < ncomps):
                 raise StructuralError("component index out of range")
+            if isinstance(c, (int, Fraction)):
+                c = Polynomial.constant(ring, c)
+            if c.is_zero():
+                continue
             self.terms[(tuple(alpha), i)] = c
 
     @classmethod
@@ -288,125 +293,101 @@ def build_tangent_frame(stratum, vanishing=None):
 
 
 # -- elimination of x-derivatives -------------------------------------------
+#
+# A key alpha is a multi-index over all ring variables, zero off the x block,
+# and stands for X^alpha = X_1^alpha_1 o X_2^alpha_2 o ...  The x-variables
+# come first, so X_j is frame.fields[j] and Y_j is frame.y_parts[j].
 
-def _split_alpha(ring, alpha, xset):
-    ax = tuple(e if i in xset else 0 for i, e in enumerate(alpha))
-    ay = tuple(e if i not in xset else 0 for i, e in enumerate(alpha))
-    return ax, ay
-
-
-def _compose_xword(frame, word, op):
-    """Materialize X_{w1} o X_{w2} o ... o op."""
-    pos = {j: k for k, j in enumerate(frame.x_indices)}
-    for j in reversed(word):
-        op = frame.fields[pos[j]].compose(op)
+def _compose(fields, alpha, op):
+    """Materialize F_1^alpha_1 o F_2^alpha_2 o ... o op for fields F."""
+    for f, e in reversed(list(zip(fields, alpha))):
+        for _ in range(e):
+            op = f.compose(op)
     return op
 
 
-def _push_coeff(frame, c, word, op):
-    """Exact decomposition of c * X^word o op into sum X^u o (y-only op):
-    c X_j W = X_j (c W) - (X_j c) W, recursively."""
+def _push_coeff(frame, c, alpha, op):
+    """Exact decomposition of c * X^alpha o op into {u: y-only op} with
+    sum X^u o op_u, every u <= alpha.  X_j, j the first index of alpha,
+    is peeled off by c X_j W = X_j (c W) - (X_j c) W; the keys of W's
+    decomposition are zero before j, so X_j o X^u is X^(u + e_j)."""
     if c.is_zero():
         return {}
-    if not word:
-        return {(): op.scale(c)}
-    pos = {j: k for k, j in enumerate(frame.x_indices)}
-    j, rest = word[0], word[1:]
+    j = next((j for j, e in enumerate(alpha) if e), None)
+    if j is None:
+        return {alpha: op.scale(c)}
+    rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
     out = {}
     for u, o in _push_coeff(frame, c, rest, op).items():
-        key = (j,) + u
+        key = u[:j] + (u[j] + 1,) + u[j + 1:]
         out[key] = out.get(key, zero_op(frame.ring, o.ncomps)) + o
-    xc = frame.fields[pos[j]].apply_poly(c)
+    xc = frame.fields[j].apply_poly(c)
     for u, o in _push_coeff(frame, xc, rest, op).items():
         out[u] = out.get(u, zero_op(frame.ring, o.ncomps)) - o
     return {u: o for u, o in out.items() if not o.is_zero()}
 
 
-def _is_y_only(op, xset):
-    return all(all(alpha[i] == 0 for i in xset) for (alpha, _) in op.terms)
+def _rewrite(op, frame):
+    """(D, {alpha: y-only op}) with Delta^D op = sum X^alpha o op_alpha.
 
-
-def _rewrite(op, frame, xset):
-    """(D, {x-word: y-only op}) with Delta^D op = sum X^word o op_word."""
+    At top order Delta d_xj is X_j - Y_j, so a top term a d_x^ax d_y^ay
+    of order m, times Delta^m, is a Delta^|ay| (X - Y)^ax d_y^ay.  Every
+    choice of X or -Y per factor with X-counts k gives the same word X^k
+    and the same tail Y^(ax-k) o d_y^ay, so the expansion has one item per
+    k <= ax, with coefficient (-1)^|ax-k| binom(ax, k); _push_coeff is
+    linear in its coefficient, so the merged items push exactly as the
+    2^|ax| choices would.  What the items miss is of lower order and
+    recurses."""
+    xs = set(frame.x_indices)
     if op.is_zero():
         return 0, {}
-    m = op.order()
-    if m == 0 or not (op.derivative_vars() & xset):
-        if not _is_y_only(op, xset):
-            raise DomainError("internal: order-0 operator differentiates x")
-        return 0, {(): op}
-    ring = op.ring
-    delta = frame.delta
-
-    top = {k: c for k, c in op.terms.items() if sum(k[0]) == m}
-    xitems = []
-    for (alpha, i), a in top.items():
-        ax, ay = _split_alpha(ring, alpha, xset)
+    if not (op.derivative_vars() & xs):
+        return 0, {(0,) * op.ring.nvars: op}
+    ring, m, delta = op.ring, op.order(), frame.delta
+    items = []
+    for (alpha, i), a in op.terms.items():
+        if sum(alpha) < m:
+            continue
+        ax = tuple(e if j in xs else 0 for j, e in enumerate(alpha))
+        ay = tuple(e - x for e, x in zip(alpha, ax))
         base = LinearDiffOp(ring, op.ncomps, {(ay, i): 1})
         c0 = a * delta ** sum(ay)
-        slots = []
-        for j in sorted(xset):
-            slots.extend([j] * ax[j])
-        if not slots:
-            xitems.append((c0, (), base))
-            continue
-        pos = {j: k for k, j in enumerate(frame.x_indices)}
-        for choice in product((0, 1), repeat=len(slots)):
-            # 0 picks X_j, 1 picks -Y_j; the product expands (Delta d_x)^ax
-            word = tuple(j for j, ch in zip(slots, choice) if ch == 0)
-            tail = base
-            sign = 1
-            for j, ch in reversed(list(zip(slots, choice))):
-                if ch == 1:
-                    tail = frame.y_parts[pos[j]].compose(tail)
-                    sign = -sign
-            xitems.append((c0 * sign, word, tail))
+        for k in _sub_multis(ax):
+            tail = _compose(frame.y_parts, [x - e for x, e in zip(ax, k)], base)
+            sign = (-1) ** (sum(ax) - sum(k))
+            items.append((c0 * (sign * _multi_binom(ax, k)), k, tail))
 
-    # everything the X-prefix items miss is strictly lower order
     acc = zero_op(ring, op.ncomps)
-    for c, word, tail in xitems:
-        acc = acc + _compose_xword(frame, word, tail).scale(c)
+    for c, k, tail in items:
+        acc = acc + _compose(frame.fields, k, tail).scale(c)
     rest = op.scale(delta ** m) - acc
     if not rest.is_zero() and rest.order() >= m:
         raise DomainError("internal: top order did not cancel in the rewrite")
 
-    d_rest, buckets_rest = _rewrite(rest, frame, xset)
-    buckets = {w: o for w, o in buckets_rest.items()}
+    d_rest, buckets = _rewrite(rest, frame)
     scale = delta ** d_rest
-    for c, word, tail in xitems:
-        for u, o in _push_coeff(frame, c * scale, word, tail).items():
+    for c, k, tail in items:
+        for u, o in _push_coeff(frame, c * scale, k, tail).items():
             buckets[u] = buckets.get(u, zero_op(ring, op.ncomps)) + o
-    buckets = {u: o for u, o in buckets.items() if not o.is_zero()}
-    return d_rest + m, buckets
+    return d_rest + m, {u: o for u, o in buckets.items() if not o.is_zero()}
 
 
 def eliminate_x_derivatives(op, frame):
     """(D, {alpha: L_alpha}) with Delta^D L = sum X^alpha o L_alpha exactly,
     every L_alpha free of x-derivatives; verified by canonical equality."""
-    xset = set(frame.x_indices)
-    d, buckets = _rewrite(op, frame, xset)
+    d, out = _rewrite(op, frame)
     if d and frame.delta.is_constant():
         c = frame.delta.constant_value() ** d
         if c != 1:
-            buckets = {w: o.scale(Fraction(1) / c) for w, o in buckets.items()}
+            out = {a: o.scale(Fraction(1) / c) for a, o in out.items()}
         d = 0
-    out = {}
-    n = frame.ring.nvars
-    for word, o in buckets.items():
-        alpha = [0] * n
-        for j in word:
-            alpha[j] += 1
-        key = tuple(alpha)
-        out[key] = out.get(key, zero_op(frame.ring, op.ncomps)) + o
-
     check = zero_op(frame.ring, op.ncomps)
-    for word, o in buckets.items():
-        check = check + _compose_xword(frame, word, o)
+    for alpha, o in out.items():
+        check = check + _compose(frame.fields, alpha, o)
     if not (check == op.scale(frame.delta ** d)):
         raise DomainError("internal: rewrite identity failed")
-    for key, o in out.items():
-        if not _is_y_only(o, xset):
-            raise DomainError("internal: rewrite left x-derivatives behind")
+    if any(o.derivative_vars() & set(frame.x_indices) for o in out.values()):
+        raise DomainError("internal: rewrite left x-derivatives behind")
     return d, out
 
 

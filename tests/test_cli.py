@@ -206,6 +206,31 @@ x1^2
     assert out.strip() == "4*x1^2"
 
 
+# every operator key is checked, whatever its coefficient
+@pytest.mark.parametrize("coeff", ["1", "0"])
+def test_apply_rejects_component_out_of_range(tmp_path, capsys, coeff):
+    text = "[ring]\nx = x1, x2\n[op]\n%s ; (1,0) ; 7\n[vec]\nx1^2\n" % coeff
+    path = write(tmp_path, "apply.txt", text)
+    code, out, err = run_cli(capsys, ["apply", path])
+    assert (code, out, err) == (2, "", "parse error: line 3: component index out of range\n")
+
+
+# an empty entry is a bad multi-index; an empty block () is not
+@pytest.mark.parametrize("command, text, line", [
+    ("apply", "[ring]\nx = x1, x2\n[op]\n1 ; (1,,0) ; 1\n[vec]\nx1^2\n", 4),
+    ("mclosure", "[operator]\nn = 2\nj = 1\nk = 1\n[stratum]\nn = 2\nm = 0\np = 1\n"
+                 "U = true\nannz 1 = z1 - 1\nwitness = 0, 0, 1\n[coeffs]\n"
+                 "1 ; 1 ; (1,,0) ; () ; 1\n", 13),
+], ids=["op-row", "coeffs-row"])
+def test_multi_index_with_empty_entry_is_parse_error(tmp_path, capsys, command, text, line):
+    code, out, err = run_cli(capsys, [command, write(tmp_path, "bad.txt", text)])
+    assert (code, out) == (2, "")
+    assert "parse error" in err and "bad multi-index '(1,,0)'" in err
+    assert "line %d" % line in err
+    code, _, _ = run_cli(capsys, [command, write(tmp_path, "ok.txt", text.replace(",,", ","))])
+    assert code == 0
+
+
 VANISH_NEGATIVE = """
 [stratum]
 n = 1

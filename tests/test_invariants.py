@@ -226,3 +226,23 @@ def test_ambient_maps_go_through_one_pull_back():
         callers |= {(name, None) for _ in calls}
     assert callers == {("vanishing.py", "pull_back")}, callers
     assert "TriangularSystem" not in classes
+
+
+def test_x_rewrite_keys_by_multi_index():
+    # the rewrite expands (Delta d_x)^a by X-counts, one item per k <= a,
+    # not by 2^|a| choices, and X_j is frame.fields[j]: product runs only in
+    # _sub_multis, and no position map over frame.x_indices is left
+    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "operators.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    allowed = {node for f in defs if f.name == "_sub_multis" for node in ast.walk(f)}
+    stray = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "product" and node not in allowed]
+    assert not stray, stray
+    maps = {f.name for f in defs for node in ast.walk(f)
+            if isinstance(node, ast.DictComp)
+            and any(isinstance(n, ast.Attribute) and n.attr == "x_indices"
+                    for g in node.generators for n in ast.walk(g.iter))}
+    assert not maps, maps
+    assert "_split_alpha" not in {f.name for f in defs}

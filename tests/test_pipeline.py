@@ -1,7 +1,7 @@
 import random
 import signal
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -497,27 +497,60 @@ def test_certificate_uses_monomials_up_to_the_operator_order(monkeypatch):
         check_on_stratum(st, op, SubmoduleBasis(basis.ring, 1, [f]))
 
 
-# -- cost guard at derivative orders 3, 4 and 6 ------------------------------
+# -- the x-derivative rewrite at every order up to 3, and at 4 and 6 -----------
+
+# every row (alpha;beta) of total order <= 3 on the 2-D sheets, then two
+# rows of order 4 and 6
+ORDER_ROWS = [("%d,%d" % (a1, a2), "%d" % b)
+              for a1, a2, b in sorted(product(range(4), repeat=3), key=sum)
+              if a1 + a2 + b <= 3] + [("0,0", "4"), ("2,2", "2")]
+REWRITE_GOLDEN = Path(__file__).parent / "golden" / "x_rewrite_ledger.txt"
+REWRITE_KEYS = ("rewrite_D", "rewrite_pieces", "piece", "intersect_gens")
+
 
 def _expire(signum, frame):
-    raise TimeoutError("a row of derivative order 3, 4 or 6 ran over its 30 s budget")
+    raise TimeoutError("a row of derivative order <= 6 ran over its 30 s budget")
 
 
-@pytest.mark.parametrize("alpha, beta", [("0,0", "3"), ("2,0", "1"), ("0,0", "4"),
-                                         ("2,2", "2")])
-def test_order_three_rows_finish_within_budget(alpha, beta):
-    # the shipped positive indicator with order k = 3, 4 or 6 on its 2-D
-    # sheets: the module is (f^(k+1)), f = x2^2*x3 - x1^2
+def _row_mclosure(alpha, beta):
     text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
-    sop = parse_operator_manifest(text.replace(
-        "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (%s) ; (%s) ; 1" % (alpha, beta)))
+    return main_mclosure(parse_operator_manifest(text.replace(
+        "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (%s) ; (%s) ; 1" % (alpha, beta))))
+
+
+def _rewrite_ledger(alpha, beta, res):
+    """The row's header, then its rewrite and intersection ledger lines."""
+    return ["# row (%s;%s)" % (alpha, beta)] + [
+        line for line in res.provenance
+        if line.split(".", 1)[-1].split("=")[0] in REWRITE_KEYS]
+
+
+@pytest.mark.parametrize("alpha, beta", ORDER_ROWS)
+def test_order_three_rows_finish_within_budget(alpha, beta):
+    # the shipped positive indicator with order k <= 3, 4 or 6 on its 2-D
+    # sheets: the module is (f^(k+1)), f = x2^2*x3 - x1^2, and the rewrite
+    # ledger equals the row's block in tests/golden/x_rewrite_ledger.txt
     k = sum(int(e) for e in alpha.split(",")) + int(beta)
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(30)
     try:
-        res = main_mclosure(sop)
+        res = _row_mclosure(alpha, beta)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     f = P(res.basis.ring, "x2^2*x3 - x1^2")
     assert [g[0] for g in res.basis.gens] == [f ** (k + 1)]
+    ledger = _rewrite_ledger(alpha, beta, res)
+    blocks = {}
+    for line in REWRITE_GOLDEN.read_text().splitlines():
+        head = line if line.startswith("# row") else head
+        blocks.setdefault(head, []).append(line)
+    assert blocks[ledger[0]] == ledger
+
+
+if __name__ == "__main__":
+    # regenerate the golden file, only when a change of the rewrite's
+    # output is intended:
+    #   PYTHONPATH=src python tests/test_pipeline.py > tests/golden/x_rewrite_ledger.txt
+    for row in ORDER_ROWS:
+        print("\n".join(_rewrite_ledger(*row, _row_mclosure(*row))))
