@@ -3,12 +3,15 @@
 Every subcommand reads a manifest file (or stdin with '-') and prints a
 deterministic result: identical input and flags give byte-identical output.
 Exit codes: 0 success, 2 parse error, 3 domain/structural error,
-4 unsupported input.
+4 unsupported input.  When stdout closes early, as in `| head`, the
+process ends quietly: nothing goes to stderr, and a write to the closed
+pipe ends it by SIGPIPE (status 141 in a shell).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from fractions import Fraction
 
@@ -318,6 +321,9 @@ def run(argv=None):
 
 
 def main():
+    # the default action ends the process at a closed pipe, with no
+    # BrokenPipeError traceback; run() keeps Python's handler for callers
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -16,7 +16,8 @@ final monic basis and the remainders handed to callers are converted
 back to Fractions.  Generators are indexed by the component of their
 leading term, which is where divisor search, pair forming and the chain
 criterion look; order keys of module monomials are computed once per
-computation.
+computation.  `_nf` is the only reduction: one pass of it inter-reduces
+the Groebner basis the pairs leave, and exact division is a normal form.
 
 Higher-level operations: syzygies and inhomogeneous solving (solution
 modules of linear systems over the ring), intersection by the tag
@@ -41,8 +42,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, StructuralError
-from .orders import (ModuleOrder, elim_order, grevlex_order, mono_coprime,
-                     mono_deg, mono_div, mono_lcm, mono_mul, top_order)
+from .orders import (ModuleOrder, elim_order, mono_coprime, mono_deg,
+                     mono_div, mono_lcm, mono_mul, top_order)
 from .poly import Polynomial, PolyVec
 
 
@@ -233,9 +234,10 @@ def _spair(gi, gj, morder, track):
 def _buchberger_core(mvs, order, track=False):
     """Reduced Groebner basis of the mvecs, as _Gens sorted by leading term.
 
-    Each _Gen holds a primitive integer mvec; `monic()` gives the basis
-    element.  With `track`, each rep gives the element as a combination
-    of the inputs, rep = {(input index, monomial): coefficient}.
+    The pair loop leaves a Groebner basis, which one inter-reduction pass
+    makes reduced.  Each _Gen holds a primitive integer mvec; `monic()`
+    gives the basis element.  With `track`, each rep gives the element as
+    a combination of the inputs, rep = {(input index, monomial): coefficient}.
     """
     keys = _keys(order)
     morder = keys.morder
@@ -278,8 +280,6 @@ def _buchberger_core(mvs, order, track=False):
 
     while heap:
         _, s, t = heapq.heappop(heap)
-        if (s, t) not in pending:
-            continue
         pending.discard((s, t))
         gi, gj = gens[s], gens[t]
         l = lcm_of(s, t)
@@ -307,30 +307,19 @@ def _buchberger_core(mvs, order, track=False):
         gens.append(_Gen(rem, keys, sugar=sugar, rep=rrep))
         add_gen(len(gens) - 1)
 
-    # inter-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for k, g in enumerate(gens):
-            if g is None:
-                continue
-            rem, rrep, _ = _nf(dict(g.mv), index, keys,
-                               dict(g.rep) if track else None, skip=g)
-            if rem == g.mv:
-                continue
-            changed = True
-            bucket = index[g.lt[0]]
-            if not rem:
-                gens[k] = None
-                bucket.remove(g)
-                continue
-            new = gens[k] = _Gen(rem, keys, sugar=g.sugar, rep=rrep)
-            comp = new.lt[0]
-            if comp == g.lt[0]:
-                bucket[bucket.index(g)] = new
-            else:
-                bucket.remove(g)
-                index[comp] = [h for h in gens if h is not None and h.lt[0] == comp]
+    # one pass inter-reduces: the pairs left a Groebner basis, so an element
+    # whose leading term another's divides reduces to zero against the rest,
+    # every other keeps its leading term, and with no leading term added a
+    # tail reduced once stays reduced
+    for k, g in enumerate(gens):
+        rem, rrep, _ = _nf(dict(g.mv), index, keys,
+                           dict(g.rep) if track else None, skip=g)
+        bucket = index[g.lt[0]]
+        if not rem:
+            gens[k] = None
+            bucket.remove(g)
+        elif rem != g.mv:
+            gens[k] = bucket[bucket.index(g)] = _Gen(rem, keys, sugar=g.sugar, rep=rrep)
     out = [g for g in gens if g is not None]
     out.sort(key=lambda g: keys[g.lt])
     return out
@@ -571,22 +560,17 @@ def eliminate(basis, drop):
 
 
 def poly_exact_div(p, f):
-    """Quotient p/f; raises DomainError when f does not divide p exactly."""
+    """Quotient p/f, divided through `_nf` against f alone as one tracked
+    generator; raises DomainError when f does not divide p exactly."""
     if f.is_zero():
         raise DomainError("division by zero polynomial")
-    order = grevlex_order()
-    fl, fc = f.leading(order)
-    q = Polynomial.zero(p.ring)
-    r = p
-    while not r.is_zero():
-        rl, rc = r.leading(order)
-        m = mono_div(rl, fl)
-        if m is None:
-            raise DomainError("polynomial division is not exact")
-        t = Polynomial.monomial(p.ring, m, rc / fc)
-        q = q + t
-        r = r - t * f
-    return q
+    _check_ring(p.ring, [f])
+    keys = _Keys(top_order())
+    g = _Gen(vec_to_mvec(PolyVec([f])), keys, rep={(0, (0,) * p.ring.nvars): 1})
+    rem, rep = _exact_nf(vec_to_mvec(PolyVec([p])), {0: [g]}, keys, rep={})
+    if rem:
+        raise DomainError("polynomial division is not exact")
+    return Polynomial(p.ring, {m: -c for (_, m), c in rep.items()})
 
 
 def saturate(basis, f):

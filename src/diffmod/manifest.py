@@ -246,14 +246,16 @@ def _parse_multi(text, line, length):
     try:
         multi = tuple(int(p) for p in parts)
     except ValueError:
-        raise ManifestError("bad multi-index %r" % text, line) from None
+        multi = None
+    if multi is None or any(e < 0 for e in multi):
+        raise ManifestError("bad multi-index %r" % text, line)
     if len(multi) != length:
         raise ManifestError("multi-index of length %d, expected %d"
                             % (len(multi), length), line)
     return multi
 
 
-def parse_coeff_entries(section, n_local, m_local, k):
+def parse_coeff_entries(section, n_local, m_local, k, j):
     entries = []
     for text, line in section.payload:
         parts = [p.strip() for p in text.split(";")]
@@ -270,6 +272,8 @@ def parse_coeff_entries(section, n_local, m_local, k):
         omega = _parse_fraction(parts[4], line)
         if not (1 <= lam <= k):
             raise ManifestError("coefficient slot out of range", line)
+        if not (1 <= comp <= j):
+            raise ManifestError("component index out of range", line)
         entries.append((lam, comp - 1, ax, ay, omega))
     if not entries:
         raise ManifestError("empty coefficient table", section.line)
@@ -305,7 +309,7 @@ def parse_operator_manifest(text):
         if idx >= len(sections) or sections[idx].name != "coeffs":
             raise ManifestError("each stratum needs a [coeffs] section",
                                 sec.line)
-        entries = parse_coeff_entries(sections[idx], st.n, st.m, k)
+        entries = parse_coeff_entries(sections[idx], st.n, st.m, k, j)
         idx += 1
         try:
             strata.append(OperatorStratum(st, entries, tmat))

@@ -190,6 +190,27 @@ power = 1
     assert out.startswith("l = ")
 
 
+def test_closed_stdout_ends_quietly(tmp_path):
+    # main() restores the default SIGPIPE action: a write to a pipe whose
+    # reader is gone ends the process with no BrokenPipeError traceback
+    import os
+    import pathlib
+    import signal
+    import subprocess
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffmod.cli", "gb", write(tmp_path, "gb.txt", GB_MANIFEST)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, "")
+
+
 def test_apply(tmp_path, capsys):
     text = """
 [ring]
@@ -215,20 +236,44 @@ def test_apply_rejects_component_out_of_range(tmp_path, capsys, coeff):
     assert (code, out, err) == (2, "", "parse error: line 3: component index out of range\n")
 
 
-# an empty entry is a bad multi-index; an empty block () is not
-@pytest.mark.parametrize("command, text, line", [
-    ("apply", "[ring]\nx = x1, x2\n[op]\n1 ; (1,,0) ; 1\n[vec]\nx1^2\n", 4),
-    ("mclosure", "[operator]\nn = 2\nj = 1\nk = 1\n[stratum]\nn = 2\nm = 0\np = 1\n"
-                 "U = true\nannz 1 = z1 - 1\nwitness = 0, 0, 1\n[coeffs]\n"
-                 "1 ; 1 ; (1,,0) ; () ; 1\n", 13),
-], ids=["op-row", "coeffs-row"])
-def test_multi_index_with_empty_entry_is_parse_error(tmp_path, capsys, command, text, line):
-    code, out, err = run_cli(capsys, [command, write(tmp_path, "bad.txt", text)])
+# an empty or a negative entry is a bad multi-index; an empty block () is not
+_OP_ROW = "[ring]\nx = x1, x2\n[op]\n1 ; %s ; 1\n[vec]\nx1^2\n"
+_COEFFS_ROW = ("[operator]\nn = 2\nj = 1\nk = 1\n[stratum]\nn = 2\nm = 0\np = 1\n"
+               "U = true\nannz 1 = z1 - 1\nwitness = 0, 0, 1\n[coeffs]\n"
+               "1 ; 1 ; %s ; () ; 1\n")
+
+
+@pytest.mark.parametrize("command, text, line, multi", [
+    ("apply", _OP_ROW, 4, "(1,,0)"),
+    ("mclosure", _COEFFS_ROW, 13, "(1,,0)"),
+    ("apply", _OP_ROW, 4, "(-1,0)"),
+    ("mclosure", _COEFFS_ROW, 13, "(-1,0)"),
+], ids=["op-row", "coeffs-row", "op-row-negative", "coeffs-row-negative"])
+def test_multi_index_with_empty_entry_is_parse_error(tmp_path, capsys, command, text, line,
+                                                     multi):
+    code, out, err = run_cli(capsys, [command, write(tmp_path, "bad.txt", text % multi)])
     assert (code, out) == (2, "")
-    assert "parse error" in err and "bad multi-index '(1,,0)'" in err
+    assert "parse error" in err and "bad multi-index %r" % multi in err
     assert "line %d" % line in err
-    code, _, _ = run_cli(capsys, [command, write(tmp_path, "ok.txt", text.replace(",,", ","))])
+    code, _, _ = run_cli(capsys, [command, write(tmp_path, "ok.txt", text % "(1,0)")])
     assert code == 0
+
+
+# a [coeffs] component outside 1..j fails at its line while the manifest is
+# read, as an [op] component does, not when main_mclosure reaches the stratum
+@pytest.mark.parametrize("comp", ["0", "2"])
+def test_coeffs_component_out_of_range_is_parse_error(tmp_path, capsys, monkeypatch, comp):
+    import pathlib
+    from diffmod import pipeline
+    monkeypatch.setattr(pipeline, "complexify", None)
+    root = pathlib.Path(__file__).resolve().parent.parent / "manifests"
+    lines = (root / "level_set_positive_indicator.txt").read_text().splitlines()
+    row = max(i for i, l in enumerate(lines) if l.startswith("1 ; 1 ;"))
+    lines[row] = "1 ; %s ;" % comp + lines[row][len("1 ; 1 ;"):]
+    path = write(tmp_path, "op.txt", "\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["mclosure", path])
+    assert (code, out, err) == (
+        2, "", "parse error: line %d: component index out of range\n" % (row + 1))
 
 
 VANISH_NEGATIVE = """

@@ -110,9 +110,24 @@ def test_mixed_rings_are_rejected():
     for call in (lambda: syzygy_module([PolyVec([x]), PolyVec([z])]),
                  lambda: saturate(ideal(RXY, [x]), z),
                  lambda: critical_l([PolyVec([x])], [PolyVec([z])], x),
-                 lambda: solve_inhomogeneous([PolyVec([x])], [z])):
+                 lambda: solve_inhomogeneous([PolyVec([x])], [z]),
+                 lambda: poly_exact_div(x, z)):
         with pytest.raises(StructuralError, match="mixed rings in system"):
             call()
+
+
+def test_poly_exact_div_quotients_and_errors():
+    # the quotient is read off the tracked normal form of q*f against f
+    rng = random.Random(17)
+    for _ in range(30):
+        f = random_nonzero_polynomial(rng, RXYZ, deg=2, nterms=3, height=4)
+        q = random_polynomial(rng, RXYZ, deg=3, nterms=4, height=5)
+        assert poly_exact_div(q * f, f) == q
+        if not f.is_constant():
+            with pytest.raises(DomainError, match="polynomial division is not exact"):
+                poly_exact_div(q * f + Polynomial.one(RXYZ), f)
+    with pytest.raises(DomainError, match="division by zero polynomial"):
+        poly_exact_div(P(RXY, "x"), Polynomial.zero(RXY))
 
 
 def test_intersect_principal():

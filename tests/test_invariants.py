@@ -246,3 +246,22 @@ def test_x_rewrite_keys_by_multi_index():
                     for g in node.generators for n in ast.walk(g.iter))}
     assert not maps, maps
     assert "_split_alpha" not in {f.name for f in defs}
+
+
+def test_groebner_reduces_through_one_normal_form():
+    # the pairs leave a Groebner basis, so one inter-reduction pass gives
+    # the reduced basis; exact division is a normal form, not a second
+    # leading-term loop
+    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "groebner.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    whiles = [node for node in ast.walk(defs["_buchberger_core"]) if isinstance(node, ast.While)]
+    assert len(whiles) == 1 and ast.unparse(whiles[0].test) == "heap", whiles
+    div = defs["poly_exact_div"]
+    assert not [node for node in ast.walk(div) if isinstance(node, (ast.For, ast.While))]
+    assert "_exact_nf" in {node.func.id for node in ast.walk(div)
+                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    leading = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "leading"]
+    assert not leading, leading
