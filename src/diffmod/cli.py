@@ -20,7 +20,7 @@ from .errors import (DomainError, ManifestError, StructuralError,
 from .groebner import (SubmoduleBasis, buchberger, critical_l, eliminate,
                        intersect, normal_form, saturate, solve_inhomogeneous,
                        syzygy_module)
-from .manifest import (need, parse_desc_section, parse_operator_lines,
+from .manifest import (need, parse_desc_section, parse_int, parse_operator_lines,
                        parse_operator_manifest, parse_order, parse_poly,
                        parse_ring, parse_strata_manifest, parse_vec,
                        parse_vec_lines, section_map, split_sections)
@@ -223,7 +223,7 @@ def cmd_qdiv(text, args):
     if "params" in smap and "power" in smap["params"][0].keys:
         value, line = smap["params"][0].keys["power"]
         try:
-            power = int(value)
+            power = parse_int(value)
         except ValueError:
             raise ManifestError("bad integer for power", line) from None
     cert = reduce_mod_powers(p, qs, power)

@@ -8,6 +8,7 @@ text form of the engine, e.g. ``x1^2 - 1/2*z1*y1^2``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ManifestError, StructuralError
@@ -15,9 +16,35 @@ from .operators import LinearDiffOp
 from .orders import block_order, grevlex_order, lex_order
 from .pipeline import OperatorStratum, StratifiedOperator
 from .poly import Polynomial, PolyVec, Ring
-from .realroots import (And, Atom, Or, SemialgebraicDescription, SignCondition,
-                        TrueDesc)
+from .realroots import SemialgebraicDescription, SignCondition
 from .vanishing import Stratum
+
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text):
+    """The integer written as ASCII digits with an optional leading '-',
+    blanks around it aside.  Anything else, such as '+1' or '1_0', raises
+    ValueError."""
+    text = text.strip()
+    if not _INT.fullmatch(text):
+        raise ValueError("bad integer %r" % text)
+    return int(text)
+
+
+def _int_key(section, key, default=None):
+    """The integer value of `key` in a keyed section; a missing key takes
+    `default`, and is an error when there is none."""
+    if key not in section.keys:
+        if default is None:
+            raise ManifestError("%s needs %s" % (section.name, key), section.line)
+        return default
+    value, line = section.keys[key]
+    try:
+        return parse_int(value)
+    except ValueError:
+        raise ManifestError("bad integer for %s" % key, line) from None
 
 
 def _parse_fraction(text, line):
@@ -99,7 +126,7 @@ def parse_order(text, line=None):
         return grevlex_order()
     if text.startswith("block:"):
         try:
-            return block_order(int(text.split(":", 1)[1]))
+            return block_order(parse_int(text.split(":", 1)[1]))
         except ValueError:
             raise ManifestError("bad block order split", line) from None
     raise ManifestError("unknown order %r" % text, line)
@@ -134,21 +161,20 @@ def _parse_atom(ring, text, line):
 
 
 def parse_desc_line(ring, text, line):
-    """One conjunction of atoms, '&&'-separated; the word 'true' is allowed."""
+    """One clause: sign conditions separated by '&&', or the word 'true'
+    for the empty clause."""
     text = text.strip()
     if text.lower() == "true":
-        return TrueDesc()
-    parts = [p.strip() for p in text.split("&&")]
-    atoms = tuple(Atom(_parse_atom(ring, p, line)) for p in parts)
-    return atoms[0] if len(atoms) == 1 else And(atoms)
+        return ()
+    return tuple(_parse_atom(ring, p.strip(), line) for p in text.split("&&"))
 
 
 def parse_desc_section(ring, section):
-    lines = [parse_desc_line(ring, text, line) for text, line in section.payload]
-    if not lines:
+    """The union of the section's lines, one clause each."""
+    clauses = tuple(parse_desc_line(ring, text, line) for text, line in section.payload)
+    if not clauses:
         raise ManifestError("empty description", section.line)
-    tree = lines[0] if len(lines) == 1 else Or(tuple(lines))
-    return SemialgebraicDescription(tree, ring.nvars)
+    return SemialgebraicDescription(clauses, ring.nvars)
 
 
 def _parse_matrix(value, line):
@@ -163,20 +189,9 @@ def parse_stratum(section, k=None):
     """The [stratum] section as a Stratum.  An operator stratum passes its
     coefficient count k: then p must equal k, and the result is the pair
     (Stratum without T, T as given) for OperatorStratum to check."""
-    def intval(key, default=None):
-        if key not in section.keys:
-            if default is None:
-                raise ManifestError("stratum needs %s" % key, section.line)
-            return default
-        value, line = section.keys[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ManifestError("bad integer for %s" % key, line) from None
-
-    n = intval("n")
-    m = intval("m")
-    p = intval("p", 0)
+    n = _int_key(section, "n")
+    m = _int_key(section, "m")
+    p = _int_key(section, "p", 0)
     if k is not None and p != k:
         raise ManifestError("stratum p must equal the coefficient count",
                             section.line)
@@ -186,8 +201,7 @@ def parse_stratum(section, k=None):
     u_desc = None
     if "u" in section.keys:
         value, line = section.keys["u"]
-        tree = parse_desc_line(ring_x, value, line)
-        u_desc = SemialgebraicDescription(tree, n)
+        u_desc = SemialgebraicDescription((parse_desc_line(ring_x, value, line),), n)
 
     anns_y = [None] * m
     anns_z = [None] * p
@@ -196,7 +210,7 @@ def parse_stratum(section, k=None):
             if key.startswith(prefix):
                 value, line = section.keys[key]
                 try:
-                    idx = int(key.split()[1])
+                    idx = parse_int(key.split()[1])
                 except (ValueError, IndexError):
                     raise ManifestError("bad annihilator key %r" % key, line) from None
                 if not (1 <= idx <= len(target)):
@@ -244,7 +258,7 @@ def _parse_multi(text, line, length):
     inner = text[1:-1].strip()
     parts = [p.strip() for p in inner.split(",")] if inner else []
     try:
-        multi = tuple(int(p) for p in parts)
+        multi = tuple(parse_int(p) for p in parts)
     except ValueError:
         multi = None
     if multi is None or any(e < 0 for e in multi):
@@ -263,8 +277,8 @@ def parse_coeff_entries(section, n_local, m_local, k, j):
             raise ManifestError("coefficient rows are 'lam ; comp ; ax ; ay ; omega'",
                                 line)
         try:
-            lam = int(parts[0])
-            comp = int(parts[1])
+            lam = parse_int(parts[0])
+            comp = parse_int(parts[1])
         except ValueError:
             raise ManifestError("bad index in coefficient row", line) from None
         ax = _parse_multi(parts[2], line, n_local)
@@ -285,19 +299,9 @@ def parse_operator_manifest(text):
     if not sections or sections[0].name != "operator":
         raise ManifestError("operator manifests start with [operator]", 1)
     head = sections[0]
-
-    def intval(key):
-        if key not in head.keys:
-            raise ManifestError("operator needs %s" % key, head.line)
-        value, line = head.keys[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ManifestError("bad integer for %s" % key, line) from None
-
-    n = intval("n")
-    j = intval("j")
-    k = intval("k")
+    n = _int_key(head, "n")
+    j = _int_key(head, "j")
+    k = _int_key(head, "k")
     strata = []
     idx = 1
     while idx < len(sections):
@@ -331,7 +335,7 @@ def parse_operator_lines(ring, ncomps, section):
         coeff = parse_poly(ring, parts[0], line)
         alpha = _parse_multi(parts[1], line, ring.nvars)
         try:
-            comp = int(parts[2]) - 1
+            comp = parse_int(parts[2]) - 1
         except ValueError:
             raise ManifestError("bad component", line) from None
         key = (alpha, comp)

@@ -125,6 +125,12 @@ def _total_monomials(ring, idxs, maxdeg):
             if sum(m) <= maxdeg]
 
 
+def _multipliers(ring, op):
+    """The monomials x^g that certify a solution P of op: g over the
+    variables op differentiates, |g| <= ord op (see check_on_stratum)."""
+    return _total_monomials(ring, sorted(op.derivative_vars()), op.order())
+
+
 def graph_solution_module(stratum, op, vanishing=None, logs=None):
     """Generators of {P : op(Q P) = 0 on the stratum for all Q}, over the
     stratum's full local ring.  op must differentiate graph variables only.
@@ -160,7 +166,7 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     d1_box = {qm.var: power * qm.deg for qm in anns}
     _note(logs, "D1_box", sorted(d1_box.values()))
     basis1 = _box_monomials(ring, d1_box)
-    gammas = _total_monomials(ring, gidx, m_ord)
+    gammas = _multipliers(ring, op)
 
     d2_box = {qm.var: qm.deg for qm in anns}
     basis2 = _box_monomials(ring, d2_box)
@@ -401,8 +407,7 @@ def check_on_stratum(stratum, op, basis, vanishing=None):
     if vanishing is None:
         vanishing = complexify(stratum)
     gb = vanishing.groebner()
-    mults = [Polynomial.monomial(ring, m) for m in
-             _total_monomials(ring, sorted(op.derivative_vars()), op.order())]
+    mults = [Polynomial.monomial(ring, m) for m in _multipliers(ring, op)]
     lift_map = {i: i for i in range(stratum.n + stratum.m)}
     for g in basis.gens:
         if g.ring.nvars != ring.nvars:

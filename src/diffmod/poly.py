@@ -557,23 +557,18 @@ def linear_change_of_vars(obj, T):
 
     T must be square and invertible over the rationals; composing with
     the substitution by the inverse matrix restores the input exactly.
+    T is checked, and the variable images built, once per call.
     """
-    if isinstance(obj, PolyVec):
-        return PolyVec([linear_change_of_vars(p, T) for p in obj.comps])
     ring = obj.ring
     n = ring.nvars
     if len(T) != n or any(len(r) != n for r in T):
         raise StructuralError("matrix size does not match ring")
     if mat_det(T) == 0:
         raise DomainError("singular change of variables")
-    images = []
-    for i in range(n):
-        img = Polynomial.zero(ring)
-        for j, c in enumerate(T[i]):
-            c = _frac(c)
-            if c:
-                img = img + Polynomial.variable(ring, j) * c
-        images.append(img)
+    images = [sum((Polynomial.variable(ring, j) * _frac(c) for j, c in enumerate(row)),
+                  Polynomial.zero(ring)) for row in T]
+    if isinstance(obj, PolyVec):
+        return PolyVec([p.substitute(images, ring) for p in obj.comps])
     return obj.substitute(images, ring)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import floor, gcd
 
 from .errors import DomainError, StructuralError
@@ -303,86 +304,40 @@ class SignCondition:
         if self.rel in (">", "<") and self.poly.is_zero():
             raise StructuralError("strict sign condition on the zero polynomial")
 
+    def holds_for(self, value):
+        """Whether a value of the polynomial satisfies the relation."""
+        return {">": value > 0, "<": value < 0, "=": value == 0}[self.rel]
+
     def holds_at(self, point):
-        v = self.poly.evaluate(point)
-        return {">": v > 0, "<": v < 0, "=": v == 0}[self.rel]
+        return self.holds_for(self.poly.evaluate(point))
 
     def text(self):
         return "%s %s 0" % (self.poly.text(), self.rel)
 
 
-class Desc:
-    """Boolean combination tree over sign conditions."""
-
-    def holds_at(self, point):
-        raise NotImplementedError
-
-    def atoms(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Atom(Desc):
-    cond: SignCondition
-
-    def holds_at(self, point):
-        return self.cond.holds_at(point)
-
-    def atoms(self):
-        return [self.cond]
-
-
-@dataclass(frozen=True)
-class And(Desc):
-    parts: tuple
-
-    def holds_at(self, point):
-        return all(p.holds_at(point) for p in self.parts)
-
-    def atoms(self):
-        return [a for p in self.parts for a in p.atoms()]
-
-
-@dataclass(frozen=True)
-class Or(Desc):
-    parts: tuple
-
-    def holds_at(self, point):
-        return any(p.holds_at(point) for p in self.parts)
-
-    def atoms(self):
-        return [a for p in self.parts for a in p.atoms()]
-
-
-@dataclass(frozen=True)
-class TrueDesc(Desc):
-    def holds_at(self, point):
-        return True
-
-    def atoms(self):
-        return []
+def atom(poly, rel):
+    """The one-clause description poly rel 0."""
+    return ((SignCondition(poly, rel),),)
 
 
 def desc_and(*parts):
-    return And(tuple(parts)) if parts else TrueDesc()
-
-
-def atom(poly, rel):
-    return Atom(SignCondition(poly, rel))
+    """The conjunction of unions of clauses, as a union of clauses: one
+    clause per choice of a clause from each part."""
+    return tuple(sum(choice, ()) for choice in product(*parts))
 
 
 @dataclass(frozen=True)
 class SemialgebraicDescription:
-    tree: Desc
+    """A union of clauses over nvars variables.  Each clause is a tuple of
+    SignConditions that must all hold; ``((),)`` is all of space."""
+
+    clauses: tuple
     nvars: int
 
     def holds_at(self, point):
         if len(point) != self.nvars:
             raise StructuralError("point dimension mismatch")
-        return self.tree.holds_at(point)
-
-    def conditions(self):
-        return self.tree.atoms()
+        return any(all(c.holds_at(point) for c in clause) for clause in self.clauses)
 
 
 # -- rational witness search ---------------------------------------------
@@ -406,8 +361,9 @@ def enumerate_points(desc, budget=20000):
     """Yield rational points satisfying `desc`, coordinates enumerated by
     ascending height, spending at most `budget` full-point evaluations.
 
-    A partial assignment is pruned when some condition polynomial already
-    evaluates to a violating constant.  Every yielded point has been
+    A partial assignment is pruned only when every clause has a condition
+    whose polynomial already evaluates to a violating constant: a clause
+    with no such condition may still hold.  Every yielded point has been
     verified by exact evaluation of the whole description.
     """
     n = desc.nvars
@@ -415,19 +371,16 @@ def enumerate_points(desc, budget=20000):
         if desc.holds_at([]):
             yield []
         return
-    conds = desc.conditions()
     budget_left = [budget]
     candidates = list(rationals_by_height(_MAX_HEIGHT))
 
+    def violated(cond, assignment):
+        part = cond.poly.partial_eval(assignment)
+        return part.is_constant() and not cond.holds_for(part.constant_value())
+
     def viable(assignment):
-        for cond in conds:
-            part = cond.poly.partial_eval(assignment)
-            if part.is_constant():
-                v = part.constant_value()
-                ok = {">": v > 0, "<": v < 0, "=": v == 0}[cond.rel]
-                if not ok:
-                    return False
-        return True
+        return any(not any(violated(c, assignment) for c in clause)
+                   for clause in desc.clauses)
 
     def search(i, assignment):
         if i == n:

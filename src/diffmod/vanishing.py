@@ -31,7 +31,7 @@ from .errors import (DomainError, StructuralError, UnsupportedInputError,
 from .groebner import SubmoduleBasis, buchberger, ideal, intersect, saturate
 from .poly import Polynomial, PolyVec, Ring, linear_change_of_vars, mat_det
 from .quasimonic import QuasiMonic, coeff_in_var, delta_of
-from .realroots import (SemialgebraicDescription, TrueDesc, enumerate_points,
+from .realroots import (SemialgebraicDescription, enumerate_points,
                         isolate_real_roots)
 
 
@@ -77,7 +77,7 @@ class Stratum:
         if len(self.anns_y) != self.m or len(self.anns_z) != self.p:
             raise StructuralError("one annihilator per graph coordinate required")
         if self.u_desc is None:
-            self.u_desc = SemialgebraicDescription(TrueDesc(), self.n)
+            self.u_desc = SemialgebraicDescription(((),), self.n)
         if self.u_desc.nvars != self.n:
             raise StructuralError("U-description dimension mismatch")
         ybase = self.n

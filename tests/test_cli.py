@@ -172,6 +172,42 @@ x1 - 1
     assert v > 0 and v != 1
 
 
+# alternative [desc] lines are OR-ed: the search prunes a partial point only
+# when every line has a violated condition
+@pytest.mark.parametrize("lines, avoid", [
+    (["x1 > 0", "x1 < 0"], []),
+    (["x1 > 0 && x2 > 0", "x1 < 0 && x2 < 0"], []),
+    (["x1 > 0 && x2 > 0", "x1 < 0 && x2 < 0"], ["x1 - 1", "x2 - 1"]),
+    (["x1^2 + x2^2 - 1 < 0 && x2 > 0", "x1 - 3 > 0"], ["x1"]),
+], ids=["halflines", "quadrants", "quadrants-avoid", "disc-or-halfplane"])
+def test_witness_satisfies_one_desc_line(tmp_path, capsys, lines, avoid):
+    from fractions import Fraction
+    from diffmod.poly import Polynomial, Ring
+    text = "[ring]\nx = x1, x2\n[desc]\n%s\n" % "\n".join(lines)
+    if avoid:
+        text += "[avoid]\n%s\n" % "\n".join(avoid)
+    code, out, err = run_cli(capsys, ["witness", write(tmp_path, "wit.txt", text)])
+    assert (code, err) == (0, "")
+    point = [Fraction(v) for v in out.strip().split(", ")]
+    ring = Ring(("x1", "x2"), "xx")
+
+    def value(poly):
+        return Polynomial.parse(ring, poly).evaluate(point)
+
+    def holds(cond):
+        poly, rel, _ = cond.rsplit(" ", 2)
+        return value(poly) > 0 if rel == ">" else value(poly) < 0
+
+    assert any(all(holds(c) for c in line.split(" && ")) for line in lines)
+    assert all(value(p) != 0 for p in avoid)
+
+
+def test_witness_true_line_covers_space(tmp_path, capsys):
+    text = "[ring]\nx = x1\n[desc]\ntrue\nx1 > 0\n"
+    code, out, err = run_cli(capsys, ["witness", write(tmp_path, "wit.txt", text)])
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_qdiv(tmp_path, capsys):
     text = """
 [ring]
@@ -256,6 +292,41 @@ def test_multi_index_with_empty_entry_is_parse_error(tmp_path, capsys, command, 
     assert "parse error" in err and "bad multi-index %r" % multi in err
     assert "line %d" % line in err
     code, _, _ = run_cli(capsys, [command, write(tmp_path, "ok.txt", text % "(1,0)")])
+    assert code == 0
+
+
+# every manifest integer is ASCII digits with an optional leading '-': int()
+# alone would also read '+1' and '1_0'
+_INT_OP_ROW = "[ring]\nx = x1, x2\n[op]\n1 ; %s\n[vec]\nx1^12\n"
+_INT_QDIV = ("[ring]\nx = x1\ny = y1\n[target]\ny1^2\n[divisors]\ny1 ; y1\n"
+             "[params]\npower = %s\n")
+_INT_OPERATOR = ("[operator]\n%s\nj = 1\nk = 1\n[stratum]\nn = 2\n%s\np = 1\nU = true\n"
+                 "%s = z1 - 1\nwitness = 0, 0, 1\n[coeffs]\n%s ; 1 ; (0,0) ; () ; 1\n")
+_INT_GB = "[ring]\nx = x1, x2\norder = block:%s\n[polys]\nx1 - x2\n"
+
+
+@pytest.mark.parametrize("command, text, good, bad, message", [
+    ("apply", _INT_OP_ROW, ("(10,0) ; 1",), ("(1_0,0) ; 1",),
+     "line 4: bad multi-index '(1_0,0)'"),
+    ("apply", _INT_OP_ROW, ("(1,0) ; 1",), ("(+1,0) ; 1",), "line 4: bad multi-index '(+1,0)'"),
+    ("apply", _INT_OP_ROW, ("(1,0) ; 1",), ("(1,0) ; +1",), "line 4: bad component"),
+    ("qdiv", _INT_QDIV, ("10",), ("+1_0",), "line 9: bad integer for power"),
+    ("mclosure", _INT_OPERATOR, ("n = 2", "m = 0", "annz 1", "1"),
+     ("n = +2", "m = 0", "annz 1", "1"), "line 2: bad integer for n"),
+    ("mclosure", _INT_OPERATOR, ("n = 2", "m = 0", "annz 1", "1"),
+     ("n = 2", "m = 0_0", "annz 1", "1"), "line 7: bad integer for m"),
+    ("mclosure", _INT_OPERATOR, ("n = 2", "m = 0", "annz 1", "1"),
+     ("n = 2", "m = 0", "annz +1", "1"), "line 10: bad annihilator key 'annz +1'"),
+    ("mclosure", _INT_OPERATOR, ("n = 2", "m = 0", "annz 1", "1"),
+     ("n = 2", "m = 0", "annz 1", "+1"), "line 13: bad index in coefficient row"),
+    ("gb", _INT_GB, ("1",), ("1_0",), "line 3: bad block order split"),
+], ids=["multi-underscore", "multi-plus", "op-component", "qdiv-power", "operator-n",
+        "stratum-m", "annz-index", "coeffs-lam", "block-split"])
+def test_manifest_integers_are_plain_digits(tmp_path, capsys, command, text, good, bad,
+                                            message):
+    code, out, err = run_cli(capsys, [command, write(tmp_path, "bad.txt", text % bad)])
+    assert (code, out, err) == (2, "", "parse error: %s\n" % message)
+    code, _, _ = run_cli(capsys, [command, write(tmp_path, "ok.txt", text % good)])
     assert code == 0
 
 

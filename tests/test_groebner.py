@@ -335,8 +335,9 @@ def test_critical_l_unchanged_by_a_row_with_a_unit_pivot():
 def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
     # row (1,0;1) on the 2-D sheets of the shipped positive indicator: both
     # annihilators have constant leads, so each stage-I system is born with
-    # the remainder rows of division by them, at most 6 derivative indices
-    # times {1, y1}, and _prune finds no unit pivot left to remove; each
+    # the remainder rows of division by them: the multipliers 1, y1, y1^2 of
+    # the largest lifted operator, of order 2 in y1 alone, times {1, y1}.
+    # _prune finds no unit pivot left to remove; each
     # stage-II system is born reduced modulo (z1 - 1)^3, so it has at most
     # the rows 1, z1, z1^2
     open_calls, stage_one, stage_two = [], [], []
@@ -373,7 +374,7 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
     text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
     pipeline.main_mclosure(parse_operator_manifest(text.replace(
         "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (1,0) ; (1) ; 1")))
-    assert max(rows for rows, _ in stage_one) == 12
+    assert max(rows for rows, _ in stage_one) == 6
     assert all(left == rows for rows, left in stage_one)
     assert stage_two and max(stage_two) <= 3
 

@@ -265,3 +265,20 @@ def test_groebner_reduces_through_one_normal_form():
     leading = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", None) == "leading"]
     assert not leading, leading
+
+
+def test_semialgebraic_sets_are_unions_of_clauses():
+    # a description is a tuple of clauses of SignConditions, not a Boolean
+    # tree, and the relation table lives in SignCondition.holds_for alone
+    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "realroots.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    classes = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert not set(classes) & {"Desc", "Atom", "And", "Or", "TrueDesc"}, sorted(classes)
+    methods = {node.name for node in ast.walk(classes["SemialgebraicDescription"])
+               if isinstance(node, ast.FunctionDef)}
+    assert "conditions" not in methods
+    tables = [(f.name, node.lineno) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              for node in ast.walk(f) if isinstance(node, ast.Dict)
+              and {getattr(k, "value", None) for k in node.keys} == {">", "<", "="}]
+    assert [name for name, _ in tables] == ["holds_for"], tables

@@ -341,6 +341,23 @@ def test_witness_on_example_surface_base():
     assert pt[0] > 0 and pt[1] > 0 and pt[0] != 0
 
 
+def test_witness_of_a_union_of_clauses():
+    # a union is a tuple of clauses; the search may not prune x = 1 because
+    # the other clause, x < 0, already fails there
+    x = P("x")
+    desc = SemialgebraicDescription(atom(x, ">") + atom(x, "<"), 1)
+    pt = find_witness_point(desc, avoid=[x - 1])
+    assert pt is not None and pt[0] != 0 and pt[0] != 1 and desc.holds_at(pt)
+    ryz = Ring(("y", "z"), "xx")
+    y, z = Polynomial.variable(ryz, "y"), Polynomial.variable(ryz, "z")
+    quadrants = desc_and(atom(y, ">") + atom(y, "<"), atom(z, "<"))
+    assert quadrants == desc_and(atom(y, ">"), atom(z, "<")) + desc_and(atom(y, "<"), atom(z, "<"))
+    pt = find_witness_point(SemialgebraicDescription(quadrants, 2), avoid=[y - 1])
+    assert pt is not None and pt[0] < 0 and pt[1] < 0
+    assert desc_and() == ((),)
+    assert SemialgebraicDescription(((),), 2).holds_at([Fraction(0), Fraction(0)])
+
+
 def test_witness_failure_on_empty_set():
     desc = SemialgebraicDescription(atom(P("x^2"), "<"), 1)
     assert find_witness_point(desc, budget=500) is None
