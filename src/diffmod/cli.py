@@ -277,6 +277,14 @@ _COMMANDS = {
 }
 
 
+def positive_int(text):
+    """An integer of at least 1, read like every manifest integer."""
+    value = parse_int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="diffmod",
@@ -287,7 +295,8 @@ def build_parser():
                     help="override the [ring] order: lex, grevlex or block:K; gb and "
                     "nf compute under it, the other commands except vanish and "
                     "mclosure print under it")
-    ap.add_argument("--budget", type=int, default=20000)
+    ap.add_argument("--budget", type=positive_int, default=20000,
+                    help="cap on the points the witness search evaluates (witness, vanish)")
     ap.add_argument("--width", default=None, help="refine root intervals below this width")
     ap.add_argument("--log", action="store_true", help="emit the provenance ledger")
     ap.add_argument("--check", action="store_true",

@@ -125,6 +125,13 @@ def _total_monomials(ring, idxs, maxdeg):
             if sum(m) <= maxdeg]
 
 
+def _annihilator_powers(op, anns):
+    """Each annihilator to the power that both stages reduce by: ord op + 1
+    if op differentiates its variable, else 1."""
+    return [QuasiMonic(qm.poly ** (max(op.order(), 0) + 1), qm.var)
+            if qm.var in op.derivative_vars() else qm for qm in anns]
+
+
 def _multipliers(ring, op):
     """The monomials x^g that certify a solution P of op: g over the
     variables op differentiates, |g| <= ord op (see check_on_stratum)."""
@@ -142,7 +149,11 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     with a constant lead gets no P columns: all entries are reduced modulo
     it instead.  Every M_l stays the same, since an entry that reduces to
     zero is that annihilator times a quotient of graph degree <= D3 - D = D4,
-    which the P columns covered."""
+    which the P columns covered.
+
+    The box and the final system take ann_w^(ord+1) for a graph variable w
+    that op differentiates, and ann_w for any other: ann_w couples no second
+    graph variable, so op commutes with it and ann_w * R is a solution."""
     logs = logs if logs is not None else []
     ring = stratum.ring
     j = op.ncomps
@@ -158,14 +169,12 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     svecs = [g[0] for g in vanishing.groebner().gens]
 
     anns = stratum.annihilators()
-    m_ord = max(op.order(), 0)
-    power = m_ord + 1
+    powers = _annihilator_powers(op, anns)
     delta = delta_of(anns, ring)
 
     # degree data
-    d1_box = {qm.var: power * qm.deg for qm in anns}
-    _note(logs, "D1_box", sorted(d1_box.values()))
-    basis1 = _box_monomials(ring, d1_box)
+    _note(logs, "D1_box", sorted(q.deg for q in powers))
+    basis1 = _box_monomials(ring, {q.var: q.deg for q in powers})
     gammas = _multipliers(ring, op)
 
     d2_box = {qm.var: qm.deg for qm in anns}
@@ -198,8 +207,7 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
 
     # the final system Delta^l P = sum H_mu ann_mu^power + sum G_k P_k over
     # the full ring, each P_k from a generator's nonzero coordinates
-    a_parts = [[(comp, pw.terms)] for pw in (qm.poly ** power for qm in anns)
-               for comp in range(j)]
+    a_parts = [[(comp, q.poly.terms)] for q in powers for comp in range(j)]
     a_parts += [[(comp, {m + delta_m[n:]: c for m, c in gen[ci].terms.items()})
                  for ci, (comp, delta_m) in enumerate(bcols) if gen[ci].terms]
                 for gen in coeff_module.gens]
@@ -215,8 +223,7 @@ def algorithm_I(stratum, op, vanishing=None):
     if stratum.p != 0:
         raise StructuralError("stage I expects a stratum without z-block")
     logs = []
-    basis = graph_solution_module(stratum, op, vanishing, logs)
-    return ModuleResult(basis, logs)
+    return ModuleResult(graph_solution_module(stratum, op, vanishing, logs), logs)
 
 
 def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
@@ -224,11 +231,13 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     stage-I module; equals stage I itself when the stratum has no z-block.
 
     The system asks Delta^l * P to lie in the span of the stage-I
-    generators times z-box monomials and of cofactor columns
-    zann^(ord+1) times z-monomials; every entry has z-degree <= D2.  As in
-    stage I, a power with a constant lead is divided out instead: the
-    quotients have z-degree <= D2 - deg, and as no annihilator couples two
-    graph variables, the reduction commutes with the other powers."""
+    generators times z-box monomials and of cofactor columns zann_w^e times
+    z-monomials; every entry has z-degree <= D2.  The power e is ord + 1 if
+    op differentiates w, else 1, as zann_w * e_c then lies in the stage-I
+    module already.  As in stage I, a power with a constant lead is
+    divided out instead: the quotients have z-degree <= D2 - deg, and as no
+    annihilator couples two graph variables, the reduction commutes with
+    the other powers."""
     logs = logs if logs is not None else []
     ring = stratum.ring
     j = op.ncomps
@@ -242,31 +251,26 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
 
     pk = inner.gens
     zidx = tuple(range(ring_xy.nvars, ring.nvars))
-    zanns = stratum.annihilators()[stratum.m:]
-    m_ord = max(op.order(), 0)
-    power = m_ord + 1
-    delta_hat = delta_of(zanns, ring)
-
     if not pk:
         _note(logs, "stage2", "inner-module-zero")
         return SubmoduleBasis(ring_xy, j, [])
 
-    zbox = {qm.var: power * qm.deg for qm in zanns}
+    zanns = stratum.annihilators()[stratum.m:]
+    zpowers = _annihilator_powers(op, zanns)
+    zbox = {q.var: q.deg for q in zpowers}
     _note(logs, "stage2_zbox", sorted(zbox.values()))
     abasis = _box_monomials(ring, zbox)
     box_total = sum(b - 1 for b in zbox.values())
-    d2 = max((box_total + max(p.degree_in_vars(zidx) for p in v.comps)
-              for v in pk), default=0)
-    d2 = max(d2, max(power * qm.deg for qm in zanns))
+    d2 = max([box_total + max(p.degree_in_vars(zidx) for p in v.comps) for v in pk]
+             + [q.deg for q in zpowers])
     _note(logs, "stage2_D2", d2)
 
     # rows (component, z-monomial); B puts P_c into the z-free row of c
-    units, cofactors = _annihilator_rule(
-        ring, [QuasiMonic(qm.poly ** power, qm.var) for qm in zanns], zidx, d2)
+    units, cofactors = _annihilator_rule(ring, zpowers, zidx, d2)
     a_parts = [[(c, _times(v[c], mono)) for c in range(j)] for v in pk for mono in abasis]
     a_parts += [[(comp, terms)] for cols in cofactors for comp in range(j) for terms in cols]
     b_parts = [[(c, Polynomial.one(ring).terms)] for c in range(j)]
-    l0, module = _solve_system(ring_xy, a_parts, b_parts, delta_hat, units)
+    l0, module = _solve_system(ring_xy, a_parts, b_parts, delta_of(zanns, ring), units)
     _note(logs, "stage2_l", l0)
     _note(logs, "stage2_gens", len(module.gens))
     return module
@@ -278,8 +282,7 @@ def algorithm_II(stratum, op, vanishing=None):
     if stratum.p < 1:
         raise StructuralError("stage II expects a z-block")
     logs = []
-    basis = _zfree_solution_module(stratum, op, vanishing, logs)
-    return ModuleResult(basis, logs)
+    return ModuleResult(_zfree_solution_module(stratum, op, vanishing, logs), logs)
 
 
 def algorithm_IV(stratum, op, vanishing=None):

@@ -553,13 +553,14 @@ def mat_inverse(rows):
 
 
 def linear_change_of_vars(obj, T):
-    """Substitute var_i -> sum_j T[i][j] * var_j in a Polynomial or PolyVec.
+    """Substitute var_i -> sum_j T[i][j] * var_j in a Polynomial, a PolyVec
+    or a nonempty list of PolyVecs over one ring (giving a list).
 
     T must be square and invertible over the rationals; composing with
     the substitution by the inverse matrix restores the input exactly.
     T is checked, and the variable images built, once per call.
     """
-    ring = obj.ring
+    ring = (obj[0] if isinstance(obj, list) else obj).ring
     n = ring.nvars
     if len(T) != n or any(len(r) != n for r in T):
         raise StructuralError("matrix size does not match ring")
@@ -567,6 +568,8 @@ def linear_change_of_vars(obj, T):
         raise DomainError("singular change of variables")
     images = [sum((Polynomial.variable(ring, j) * _frac(c) for j, c in enumerate(row)),
                   Polynomial.zero(ring)) for row in T]
+    if isinstance(obj, list):
+        return [PolyVec([p.substitute(images, ring) for p in v.comps]) for v in obj]
     if isinstance(obj, PolyVec):
         return PolyVec([p.substitute(images, ring) for p in obj.comps])
     return obj.substitute(images, ring)

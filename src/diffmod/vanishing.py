@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from .errors import (DomainError, StructuralError, UnsupportedInputError,
@@ -141,10 +142,9 @@ def pull_back(basis, ring, T):
     """The generators of basis lifted into ring by variable index, then
     through T (an `ambient_map`, None for the identity)."""
     ident = {i: i for i in range(basis.ring.nvars)}
-    gens = []
-    for g in basis.gens:
-        g = PolyVec([p.lift(ring, ident) for p in g.comps])
-        gens.append(g if T is None else linear_change_of_vars(g, T))
+    gens = [PolyVec([p.lift(ring, ident) for p in g.comps]) for g in basis.gens]
+    if T is not None and gens:
+        gens = linear_change_of_vars(gens, T)
     return SubmoduleBasis(ring, basis.j, gens)
 
 
@@ -207,12 +207,7 @@ def select_component(members, witness):
                 "preprocessing or move the witness")
         # sympy factors only degree >= 3, a non-constant lead or a square discriminant
         factors = [(qm.poly, 1)] if _irreducible(qm) else factor_rational(qm.poly)
-        hits = []
-        for f, mult in factors:
-            if f.degree() < 1:
-                continue
-            if f.evaluate(witness) == 0:
-                hits.append((f, mult))
+        hits = [(f, mult) for f, mult in factors if f.degree() >= 1 and f.evaluate(witness) == 0]
         if len(hits) != 1 or hits[0][1] != 1:
             raise UnsupportedInputError(
                 "witness sits on several factors; differentials cannot be "
@@ -253,31 +248,21 @@ def _stratum_witness(stratum, budget=20000):
     caller-supplied witness.
     """
     anns = stratum.annihilators()
-    tried = 0
-    for base in enumerate_points(stratum.u_desc, budget=budget):
-        tried += 1
-        if tried > _WITNESS_TRIES:
-            break
+    for base in islice(enumerate_points(stratum.u_desc, budget=budget), _WITNESS_TRIES):
         values = {i: v for i, v in enumerate(base)}
-        ok = True
         for qm in anns:
             uni = qm.poly.partial_eval(values)
-            if uni.is_zero() or uni.degree_in(qm.var) < 1:
-                ok = False
-                break
-            roots = isolate_real_roots(uni)
+            roots = [] if uni.is_zero() or uni.degree_in(qm.var) < 1 else isolate_real_roots(uni)
             if len(roots) != 1 or not roots[0].exact:
-                ok = False
                 break
             values[qm.var] = roots[0].lower
-        if not ok:
-            continue
-        point = [values.get(i, Fraction(0)) for i in range(stratum.ring.nvars)]
-        if all(qm.poly.evaluate(point) == 0 and
-               qm.poly.diff(qm.var).evaluate(point) != 0 and
-               (qm.lead.is_constant() or qm.lead.evaluate(point) != 0)
-               for qm in anns):
-            return point
+        else:
+            point = [values.get(i, Fraction(0)) for i in range(stratum.ring.nvars)]
+            if all(qm.poly.evaluate(point) == 0 and
+                   qm.poly.diff(qm.var).evaluate(point) != 0 and
+                   (qm.lead.is_constant() or qm.lead.evaluate(point) != 0)
+                   for qm in anns):
+                return point
     raise WitnessSearchError(
         "bounded witness search failed; supply a witness on the stratum")
 

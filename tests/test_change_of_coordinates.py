@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from diffmod import pipeline, poly
 from diffmod.groebner import SubmoduleBasis, module_equal
 from diffmod.manifest import parse_operator_manifest, parse_strata_manifest
 from diffmod.pipeline import main_mclosure
-from diffmod.poly import linear_change_of_vars, mat_det
-from diffmod.vanishing import vanishing_ideal
+from diffmod.poly import Polynomial, PolyVec, Ring, linear_change_of_vars, mat_det
+from diffmod.vanishing import pull_back, vanishing_ideal
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 SEEDS = (1, 2, 3)
@@ -70,3 +71,41 @@ def test_mclosure_follows_a_change_of_coordinates(name, row, seed):
     moved = dataclasses.replace(sop, strata=[
         dataclasses.replace(os_, t_ambient=_times(os_.t_ambient, s)) for os_ in sop.strata])
     assert module_equal(main_mclosure(moved).basis, _moved(main_mclosure(sop).basis, s))
+
+
+def _spy(monkeypatch, module, name):
+    """The argument tuples of every later call to module.<name>."""
+    calls = []
+    inner = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_pull_back_checks_its_map_once_per_call(monkeypatch):
+    # all generators go through one set of variable images, so T is checked
+    # once per pull_back, not once per generator
+    ring = Ring.make(nx=2)
+    gens = [PolyVec([Polynomial.parse(ring, t) for t in pair])
+            for pair in (("x1", "x2^2"), ("x1*x2 - 1", "0"), ("x2", "x1 + 3"))]
+    basis, t = SubmoduleBasis(ring, 2, gens), [[1, 2], [0, -1]]
+    dets = _spy(monkeypatch, poly, "mat_det")
+    pulled = pull_back(basis, ring, t)
+    assert len(dets) == 1
+    assert list(pulled.gens) == [linear_change_of_vars(g, t) for g in gens]
+    assert list(pull_back(basis, ring, None).gens) == gens
+    assert len(dets) == 1 + len(gens)
+
+
+def test_mclosure_checks_each_map_once_per_pull_back(monkeypatch):
+    # main_mclosure on the shipped positive indicator pulls 11 stratum
+    # modules back through a T, each checked by one determinant
+    sop = parse_operator_manifest((MANIFESTS / "level_set_positive_indicator.txt").read_text())
+    dets = _spy(monkeypatch, poly, "mat_det")
+    pulls = _spy(monkeypatch, pipeline, "pull_back")
+    main_mclosure(sop)
+    assert len([args for args in pulls if args[2] is not None]) == len(dets) == 11

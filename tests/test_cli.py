@@ -172,6 +172,18 @@ x1 - 1
     assert v > 0 and v != 1
 
 
+@pytest.mark.parametrize("budget", ["1_0", "+3", "0", "-5"])
+def test_budget_is_a_positive_integer(tmp_path, capsys, budget):
+    # --budget is read like every manifest integer, and must be at least 1
+    path = write(tmp_path, "wit.txt", "[ring]\nx = x1\n[desc]\nx1 > 0\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["witness", path, "--budget", budget])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "--budget" in out.err
+    code, out, err = run_cli(capsys, ["witness", path, "--budget", "10"])
+    assert (code, out, err) == (0, "1\n", "")
+
+
 # alternative [desc] lines are OR-ed: the search prunes a partial point only
 # when every line has a violated condition
 @pytest.mark.parametrize("lines, avoid", [

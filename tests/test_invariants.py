@@ -282,3 +282,26 @@ def test_semialgebraic_sets_are_unions_of_clauses():
               for node in ast.walk(f) if isinstance(node, ast.Dict)
               and {getattr(k, "value", None) for k in node.keys} == {">", "<", "="}]
     assert [name for name, _ in tables] == ["holds_for"], tables
+
+
+def test_annihilator_powers_come_from_one_rule():
+    # stage I's box and final system and stage II's z-box, D2 floor and
+    # cofactor columns raise the annihilators through _annihilator_powers,
+    # and no flat ord + 1 power is left beside it
+    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "pipeline.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def callers(attr):
+        return {name for name, f in defs.items() for node in ast.walk(f)
+                if isinstance(node, ast.Call)
+                and attr in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+    assert callers("_annihilator_powers") == {"graph_solution_module", "_zfree_solution_module"}
+    assert callers("order") == {"_annihilator_powers", "_multipliers"}
+    rule = set(ast.walk(defs["_annihilator_powers"]))
+    powers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+              and isinstance(node.op, ast.Pow) and node not in rule]
+    assert not powers, powers
+    assert not {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} & {"m_ord", "power"}

@@ -1,5 +1,6 @@
 import random
 import signal
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -21,6 +22,9 @@ from diffmod.realroots import SemialgebraicDescription, atom, desc_and
 from diffmod.vanishing import Stratum, complexify
 
 from oracle import monomials_up_to, nullspace_sparse
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.inputs import _positive_strata, indicator_manifest  # noqa: E402
 
 
 def P(ring, s):
@@ -168,6 +172,18 @@ def test_stage1_non_constant_lead_brute_force():
     assert_matches_brute_force(st, L, res.basis, degcap=6)
 
 
+def test_stage1_undifferentiated_variable_takes_power_one():
+    # y2*d_y1 does not differentiate y2, so x1*y2 - 1 enters the box and the
+    # final system with power 1, while y1 - x1^2 takes power ord + 1 = 2
+    ring = Ring.make(nx=1, ny=2)
+    st = Stratum(n=1, m=2, p=0, ring=ring, witness=[1, 1, 1],
+                 anns_y=[P(ring, "y1 - x1^2"), P(ring, "x1*y2 - 1")])
+    L = LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "y2")})
+    res = algorithm_I(st, L)
+    assert res.provenance[0] == "D1_box=[1, 2]"
+    assert_matches_brute_force(st, L, res.basis, degcap=4)
+
+
 # -- stage II ----------------------------------------------------------------
 
 def test_stage2_z_free_operator_matches_stage1():
@@ -215,31 +231,32 @@ def test_stage2_zero_operator():
 
 def test_stage2_mixed_leads_pinned():
     # z1 - 1 has a constant lead and is divided out during assembly, while
-    # x1*y1^2 - 1 keeps its P columns; generators and provenance as
-    # recorded before stage I divided by constant leads
+    # x1*y1^2 - 1 keeps its P columns; the generator as recorded before
+    # stage I divided by constant leads.  The operator does not
+    # differentiate z1, so z1 - 1 enters both stages with power 1
     st = non_constant_lead_stratum(p=1)
     ring = st.ring
     res = algorithm_II(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}))
     assert [g[0].text() for g in res.basis.gens] == ["x1^2*y1^4 - 2*x1*y1^2 + 1"]
     assert res.provenance == [
-        "D1_box=[2, 4]", "D2_box=[1, 2]", "D3=5", "D4=[3, 4]", "stage1_l=0",
-        "stage1_coeff_gens=4", "final_l=0", "stage1_gens=2", "stage2_zbox=[2]",
-        "stage2_D2=2", "stage2_l=0", "stage2_gens=1"]
+        "D1_box=[1, 4]", "D2_box=[1, 2]", "D3=4", "D4=[2, 3]", "stage1_l=0",
+        "stage1_coeff_gens=0", "final_l=0", "stage1_gens=2", "stage2_zbox=[1]",
+        "stage2_D2=1", "stage2_l=0", "stage2_gens=1"]
 
 
 def test_stage2_non_constant_z_lead_pinned():
     # the lead x1 of x1*z1 - 1 is not constant, so stage II keeps its
-    # cofactor columns; generators and provenance as recorded before stage
-    # II divided by constant leads
+    # cofactor columns; the generator as recorded before stage II divided
+    # by constant leads, and power 1 for the undifferentiated z1
     ring = Ring.make(nx=1, ny=1, nz=1)
     st = Stratum(n=1, m=1, p=1, ring=ring, anns_y=[P(ring, "y1^2 - x1")],
                  anns_z=[P(ring, "x1*z1 - 1")], witness=[1, 1, 1])
     res = algorithm_II(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}))
     assert [g[0].text() for g in res.basis.gens] == ["y1^4 - 2*x1*y1^2 + x1^2"]
     assert res.provenance == [
-        "D1_box=[2, 4]", "D2_box=[1, 2]", "D3=5", "D4=[3, 4]", "stage1_l=0",
-        "stage1_coeff_gens=4", "final_l=0", "stage1_gens=2", "stage2_zbox=[2]",
-        "stage2_D2=2", "stage2_l=0", "stage2_gens=1"]
+        "D1_box=[1, 4]", "D2_box=[1, 2]", "D3=4", "D4=[2, 3]", "stage1_l=0",
+        "stage1_coeff_gens=0", "final_l=0", "stage1_gens=2", "stage2_zbox=[1]",
+        "stage2_D2=1", "stage2_l=0", "stage2_gens=1"]
 
 
 # -- stage IV ----------------------------------------------------------------
@@ -509,7 +526,7 @@ REWRITE_KEYS = ("rewrite_D", "rewrite_pieces", "piece", "intersect_gens")
 
 
 def _expire(signum, frame):
-    raise TimeoutError("a row of derivative order <= 6 ran over its 30 s budget")
+    raise TimeoutError("a row of the positive indicator ran over its time budget")
 
 
 def _row_mclosure(alpha, beta):
@@ -546,6 +563,34 @@ def test_order_three_rows_finish_within_budget(alpha, beta):
         head = line if line.startswith("# row") else head
         blocks.setdefault(head, []).append(line)
     assert blocks[ledger[0]] == ledger
+
+
+# -- the cost curve: every row of order <= 4, and two high-order rows ----------
+
+COST_SEED = 5
+# (alpha, beta, alarm in seconds); (0,0;10) gets 1 s because raising every
+# annihilator to the power 11 makes it take about 1.8 s
+COST_ROWS = [("%d,%d" % (a1, a2), "%d" % b, 5)
+             for a1, a2, b in sorted(product(range(5), repeat=3), key=sum)
+             if a1 + a2 + b <= 4] + [("0,0", "10", 1), ("2,2", "2", 5)]
+
+
+@pytest.mark.parametrize("alpha, beta, seconds", COST_ROWS)
+def test_cost_curve_rows_give_the_power_of_f(alpha, beta, seconds):
+    # the positive indicator of a seeded level set with order k on its 2-D
+    # sheets: the module is (f^(k+1)), f = x2^2*x3 - x1^2
+    k = sum(int(e) for e in alpha.split(",")) + int(beta)
+    strata = _positive_strata(random.Random("mclosure:%d" % COST_SEED))
+    sop = parse_operator_manifest(indicator_manifest(strata, (alpha, beta)))
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        res = main_mclosure(sop)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    f = P(res.basis.ring, "x2^2*x3 - x1^2")
+    assert module_equal(res.basis, ideal(res.basis.ring, [f ** (k + 1)]))
 
 
 if __name__ == "__main__":
