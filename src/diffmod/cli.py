@@ -13,17 +13,16 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from fractions import Fraction
 
 from .errors import (DomainError, ManifestError, StructuralError,
                      UnsupportedInputError, WitnessSearchError)
 from .groebner import (SubmoduleBasis, buchberger, critical_l, eliminate,
                        intersect, normal_form, saturate, solve_inhomogeneous,
                        syzygy_module)
-from .manifest import (need, parse_desc_section, parse_int, parse_operator_lines,
-                       parse_operator_manifest, parse_order, parse_poly,
-                       parse_ring, parse_strata_manifest, parse_vec,
-                       parse_vec_lines, section_map, split_sections)
+from .manifest import (need, parse_desc_section, parse_fraction, parse_int,
+                       parse_operator_lines, parse_operator_manifest, parse_order,
+                       parse_poly, parse_ring, parse_strata_manifest, parse_var,
+                       parse_vec, parse_vec_lines, section_map, split_sections)
 from .orders import top_order
 from .pipeline import main_mclosure
 from .poly import PolyVec
@@ -137,7 +136,8 @@ def cmd_saturate(text, args):
 def cmd_eliminate(text, args):
     ring, order, smap = _ring_and_map(text, args, 'eliminate')
     vecs = _generators(ring, smap, "polys")
-    drop = [v.strip() for v in _line(smap, "drop")[0].split(",")]
+    names, line = _line(smap, "drop")
+    drop = [parse_var(ring, v, line) for v in names.split(",")]
     out = eliminate(SubmoduleBasis(ring, len(vecs[0]), vecs), drop)
     _print_basis(out, order)
     return 0
@@ -182,12 +182,10 @@ def cmd_critical_l(text, args):
 def cmd_roots(text, args):
     ring, order, smap = _ring_and_map(text, args, 'roots')
     p = parse_poly(ring, *_line(smap, "poly"))
-    width = None
-    if args.width is not None:
-        try:
-            width = Fraction(args.width)
-        except (ValueError, ZeroDivisionError):
-            raise ManifestError("bad --width %r" % args.width) from None
+    try:
+        width = None if args.width is None else parse_fraction(args.width)
+    except ValueError:
+        raise ManifestError("bad --width %r" % args.width) from None
     for iv in isolate_real_roots(p, width):
         if iv.exact:
             print("root %s" % iv.lower)
@@ -218,7 +216,7 @@ def cmd_qdiv(text, args):
         parts = [x.strip() for x in t.split(";")]
         if len(parts) != 2:
             raise ManifestError("divisor rows are 'poly ; var'", l)
-        qs.append(QuasiMonic(parse_poly(ring, parts[0], l), ring.index(parts[1])))
+        qs.append(QuasiMonic(parse_poly(ring, parts[0], l), parse_var(ring, parts[1], l)))
     power = 1
     if "params" in smap and "power" in smap["params"][0].keys:
         value, line = smap["params"][0].keys["power"]
@@ -309,11 +307,12 @@ def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.manifest == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(args.manifest, "r", encoding="ascii") as fh:
-                text = fh.read()
-    except OSError as exc:
+            with open(args.manifest, "rb") as fh:
+                data = fh.read()
+        text = data.decode("ascii")
+    except (OSError, UnicodeDecodeError) as exc:
         print("cannot read manifest: %s" % exc, file=sys.stderr)
         return 2
     try:

@@ -21,6 +21,7 @@ from .vanishing import Stratum
 
 
 _INT = re.compile(r"-?[0-9]+")
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")   # no zero denominator
 
 
 def parse_int(text):
@@ -31,6 +32,15 @@ def parse_int(text):
     if not _INT.fullmatch(text):
         raise ValueError("bad integer %r" % text)
     return int(text)
+
+
+def parse_fraction(text):
+    """The rational written as an integer or num/den, read like parse_int;
+    anything else, such as '1/0', '+1/2' or '1e3', raises ValueError."""
+    text = text.strip()
+    if not _FRACTION.fullmatch(text):
+        raise ValueError("bad rational %r" % text)
+    return Fraction(text)
 
 
 def _int_key(section, key, default=None):
@@ -49,8 +59,8 @@ def _int_key(section, key, default=None):
 
 def _parse_fraction(text, line):
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        return parse_fraction(text)
+    except ValueError:
         raise ManifestError("bad rational %r" % text, line) from None
 
 
@@ -139,6 +149,14 @@ def parse_poly(ring, text, line):
         raise ManifestError(str(exc), line) from None
 
 
+def parse_var(ring, name, line):
+    """The index of the variable called `name`; an unknown name is a parse error."""
+    try:
+        return ring.index(name.strip())
+    except StructuralError as exc:
+        raise ManifestError(str(exc), line) from None
+
+
 def parse_vec(ring, text, line):
     return PolyVec([parse_poly(ring, part, line) for part in text.split(";")])
 
@@ -178,11 +196,7 @@ def parse_desc_section(ring, section):
 
 
 def _parse_matrix(value, line):
-    rows = []
-    for chunk in value.split(";"):
-        row = [_parse_fraction(v, line) for v in chunk.split(",")]
-        rows.append(row)
-    return rows
+    return [[_parse_fraction(v, line) for v in chunk.split(",")] for chunk in value.split(";")]
 
 
 def parse_stratum(section, k=None):

@@ -9,13 +9,13 @@ be checked by canonical equality.
 
 The tangent frame of a stratum rewrites away base-variable derivatives:
 Delta^D L = sum over |alpha| <= M of X^alpha composed with an operator
-that differentiates graph variables only.  Each piece is keyed by its
+that differentiates graph variables only, each piece keyed by its
 full-length multi-index alpha, X^alpha = X_1^alpha_1 o X_2^alpha_2 o ...
-At top order (Delta d_x)^a is (X - Y)^a, expanded as one item per X-count
-k <= a: every choice of X or -Y with the same counts gives the same word
-and tail, and the push of a coefficient through X^k is linear, so the
-merge is exact.  The expansion never divides by Delta; the exponent D is
-whatever the recursion incurs.
+Two closed forms do it.  At top order (Delta d_x)^a is (X - Y)^a, one
+word X^k per X-count k <= a, and one Horner expansion in the fields
+materializes a sum of words; one Leibniz table of the derivatives X^g(c)
+pushes a coefficient c through all the words of a term.  The pieces are
+unique as Delta != 0, and D is whatever the recursion incurs.
 """
 
 from __future__ import annotations
@@ -31,21 +31,13 @@ from .quasimonic import QuasiMonic
 from .vanishing import complexify
 
 
-def _multi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _multi_binom(b, g):
-    out = 1
-    for x, y in zip(b, g):
-        out *= binom(x, y)
-    return out
+    return prod(map(binom, b, g))
 
 
 def _sub_multis(beta):
     """All gamma <= beta componentwise."""
-    ranges = [range(x + 1) for x in beta]
-    return [tuple(g) for g in product(*ranges)]
+    return list(product(*(range(x + 1) for x in beta)))
 
 
 class LinearDiffOp:
@@ -86,12 +78,7 @@ class LinearDiffOp:
         return max((sum(a) for (a, _) in self.terms), default=-1)
 
     def derivative_vars(self):
-        used = set()
-        for (alpha, _) in self.terms:
-            for idx, e in enumerate(alpha):
-                if e:
-                    used.add(idx)
-        return used
+        return {idx for (alpha, _) in self.terms for idx, e in enumerate(alpha) if e}
 
     def coeff(self, alpha, i):
         return self.terms.get((tuple(alpha), i), Polynomial.zero(self.ring))
@@ -149,7 +136,7 @@ class LinearDiffOp:
                     coeff = c * a.diff_multi(gamma) * _multi_binom(beta, gamma)
                     if coeff.is_zero():
                         continue
-                    key = (_multi_add(tuple(x - y for x, y in zip(beta, gamma)), alpha), i)
+                    key = (tuple(b - g + a for b, g, a in zip(beta, gamma, alpha)), i)
                     terms[key] = terms.get(key, Polynomial.zero(self.ring)) + coeff
         return LinearDiffOp(self.ring, inner.ncomps, terms)
 
@@ -298,77 +285,81 @@ def build_tangent_frame(stratum, vanishing=None):
 # and stands for X^alpha = X_1^alpha_1 o X_2^alpha_2 o ...  The x-variables
 # come first, so X_j is frame.fields[j] and Y_j is frame.y_parts[j].
 
-def _compose(fields, alpha, op):
-    """Materialize F_1^alpha_1 o F_2^alpha_2 o ... o op for fields F."""
-    for f, e in reversed(list(zip(fields, alpha))):
-        for _ in range(e):
-            op = f.compose(op)
-    return op
+def _lower(r, j):
+    """The multi-index r with its j-th count one lower."""
+    return r[:j] + (r[j] - 1,) + r[j + 1:]
 
 
-def _push_coeff(frame, c, alpha, op):
-    """Exact decomposition of c * X^alpha o op into {u: y-only op} with
-    sum X^u o op_u, every u <= alpha.  X_j, j the first index of alpha,
-    is peeled off by c X_j W = X_j (c W) - (X_j c) W; the keys of W's
-    decomposition are zero before j, so X_j o X^u is X^(u + e_j)."""
-    if c.is_zero():
-        return {}
-    j = next((j for j, e in enumerate(alpha) if e), None)
-    if j is None:
-        return {alpha: op.scale(c)}
-    rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-    out = {}
-    for u, o in _push_coeff(frame, c, rest, op).items():
-        key = u[:j] + (u[j] + 1,) + u[j + 1:]
-        out[key] = out.get(key, zero_op(frame.ring, o.ncomps)) + o
-    xc = frame.fields[j].apply_poly(c)
-    for u, o in _push_coeff(frame, xc, rest, op).items():
-        out[u] = out.get(u, zero_op(frame.ring, o.ncomps)) - o
-    return {u: o for u, o in out.items() if not o.is_zero()}
+def _expand(fields, terms, zero):
+    """Materialize sum X^alpha o terms[alpha] for fields X by Horner's rule
+    in X_1, T_0 + X_1 o (T_1 + X_1 o (T_2 + ...)), each T_e the same sum
+    over the later fields: words that share a prefix share its compositions."""
+    if not fields or not terms:
+        return sum(terms.values(), zero)
+    groups = {}
+    for alpha, op in terms.items():
+        groups.setdefault(alpha[0], {})[alpha[1:]] = op
+    out = zero
+    for e in range(max(groups), -1, -1):
+        out = fields[0].compose(out) + _expand(fields[1:], groups.get(e, {}), zero)
+    return out
 
 
 def _rewrite(op, frame):
     """(D, {alpha: y-only op}) with Delta^D op = sum X^alpha o op_alpha.
 
     At top order Delta d_xj is X_j - Y_j, so a top term a d_x^ax d_y^ay
-    of order m, times Delta^m, is a Delta^|ay| (X - Y)^ax d_y^ay.  Every
-    choice of X or -Y per factor with X-counts k gives the same word X^k
-    and the same tail Y^(ax-k) o d_y^ay, so the expansion has one item per
-    k <= ax, with coefficient (-1)^|ax-k| binom(ax, k); _push_coeff is
-    linear in its coefficient, so the merged items push exactly as the
-    2^|ax| choices would.  What the items miss is of lower order and
-    recurses."""
+    of order m, times Delta^m, is c (X - Y)^ax d_y^ay, c = a Delta^|ay|:
+    c times the sum over k <= ax of w_k X^k o Y^(ax-k) o d_y^ay, with
+    w_k = (-1)^|ax-k| binom(ax, k), as every choice of X or -Y with
+    X-counts k gives that word.  The tail Y^r o d_y^ay is Y_j o Y^(r-e_j),
+    j the first nonzero count of r.  What the words miss is of lower order
+    and recurses.  Then c X^k o W = sum over g <= k of (-1)^|g| binom(k, g)
+    X^(k-g) o (D_g W) pushes c through the words, with one table per term:
+    D_g = X_n^g_n ... X_1^g_1 (c) = X_j (D_(g-e_j)), j the last nonzero
+    count of g."""
     xs = set(frame.x_indices)
     if op.is_zero():
         return 0, {}
     if not (op.derivative_vars() & xs):
         return 0, {(0,) * op.ring.nvars: op}
     ring, m, delta = op.ring, op.order(), frame.delta
+    zero = zero_op(ring, op.ncomps)
     items = []
+    acc = zero
     for (alpha, i), a in op.terms.items():
         if sum(alpha) < m:
             continue
         ax = tuple(e if j in xs else 0 for j, e in enumerate(alpha))
         ay = tuple(e - x for e, x in zip(alpha, ax))
-        base = LinearDiffOp(ring, op.ncomps, {(ay, i): 1})
-        c0 = a * delta ** sum(ay)
-        for k in _sub_multis(ax):
-            tail = _compose(frame.y_parts, [x - e for x, e in zip(ax, k)], base)
-            sign = (-1) ** (sum(ax) - sum(k))
-            items.append((c0 * (sign * _multi_binom(ax, k)), k, tail))
-
-    acc = zero_op(ring, op.ncomps)
-    for c, k, tail in items:
-        acc = acc + _compose(frame.fields, k, tail).scale(c)
+        tails = {}
+        for r in _sub_multis(ax):
+            j = next((j for j, e in enumerate(r) if e), None)
+            tails[r] = (LinearDiffOp(ring, op.ncomps, {(ay, i): 1}) if j is None
+                        else frame.y_parts[j].compose(tails[_lower(r, j)]))
+        words = {k: tails[tuple(x - e for x, e in zip(ax, k))].scale(
+                     (-1) ** (sum(ax) - sum(k)) * _multi_binom(ax, k))
+                 for k in _sub_multis(ax)}
+        c = a * delta ** sum(ay)
+        acc = acc + _expand(frame.fields, words, zero).scale(c)
+        items.append((c, ax, words))
     rest = op.scale(delta ** m) - acc
     if not rest.is_zero() and rest.order() >= m:
         raise DomainError("internal: top order did not cancel in the rewrite")
 
     d_rest, buckets = _rewrite(rest, frame)
     scale = delta ** d_rest
-    for c, k, tail in items:
-        for u, o in _push_coeff(frame, c * scale, k, tail).items():
-            buckets[u] = buckets.get(u, zero_op(ring, op.ncomps)) + o
+    for c, ax, words in items:
+        table = {}
+        for g in _sub_multis(ax):
+            j = max((j for j, e in enumerate(g) if e), default=None)
+            table[g] = (c * scale if j is None
+                        else frame.fields[j].apply_poly(table[_lower(g, j)]))
+        for k, word in words.items():
+            for g in _sub_multis(k):
+                u = tuple(x - e for x, e in zip(k, g))
+                o = word.scale(table[g] * ((-1) ** sum(g) * _multi_binom(k, g)))
+                buckets[u] = buckets.get(u, zero) + o
     return d_rest + m, {u: o for u, o in buckets.items() if not o.is_zero()}
 
 
@@ -377,13 +368,9 @@ def eliminate_x_derivatives(op, frame):
     every L_alpha free of x-derivatives; verified by canonical equality."""
     d, out = _rewrite(op, frame)
     if d and frame.delta.is_constant():
-        c = frame.delta.constant_value() ** d
-        if c != 1:
-            out = {a: o.scale(Fraction(1) / c) for a, o in out.items()}
-        d = 0
-    check = zero_op(frame.ring, op.ncomps)
-    for alpha, o in out.items():
-        check = check + _compose(frame.fields, alpha, o)
+        c = Fraction(1) / frame.delta.constant_value() ** d
+        out, d = {a: o.scale(c) for a, o in out.items()}, 0
+    check = _expand(frame.fields, out, zero_op(frame.ring, op.ncomps))
     if not (check == op.scale(frame.delta ** d)):
         raise DomainError("internal: rewrite identity failed")
     if any(o.derivative_vars() & set(frame.x_indices) for o in out.values()):

@@ -413,7 +413,7 @@ def _parse_poly(ring, s):
             if peek() == "/":
                 take()
                 d = take()
-                if d is None or not d.isdigit():
+                if d is None or not d.isdigit() or not int(d):
                     raise StructuralError("bad rational constant")
                 return Polynomial.constant(ring, Fraction(num, int(d)))
             return Polynomial.constant(ring, num)

@@ -342,6 +342,77 @@ def test_manifest_integers_are_plain_digits(tmp_path, capsys, command, text, goo
     assert code == 0
 
 
+# every manifest rational is an integer or num/den, read like the integers:
+# Fraction() alone would also read '1_0', '1e3', '+1/2' and '0.5'
+_RAT_OPERATOR = ("[operator]\nn = 2\nj = 1\nk = 1\n[stratum]\nn = 2\nm = 0\np = 1\n"
+                 "U = true\nannz 1 = z1 - 1\nwitness = %s\nT = %s\n[coeffs]\n"
+                 "1 ; 1 ; (0,0) ; () ; %s\n")
+_RAT_GOOD = ("-1/2, 3, 1", "1,0 ; 0,-2/3", "10")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (("-1/2, 3, 1", "1,0 ; 0,-2/3", "1_0"), "line 14: bad rational '1_0'"),
+    (("-1/2, 3, 1", "1,0 ; 0,-2/3", "1/0"), "line 14: bad rational '1/0'"),
+    (("-1/2, +3, 1", "1,0 ; 0,-2/3", "10"), "line 11: bad rational ' +3'"),
+    (("-1/2, 3, 0.5", "1,0 ; 0,-2/3", "10"), "line 11: bad rational ' 0.5'"),
+    (("-1/2, 3, 1", "1e3,0 ; 0,-2/3", "10"), "line 12: bad rational '1e3'"),
+    (("-1/2, 3, 1", "1,0 ; 0,abc", "10"), "line 12: bad rational 'abc'"),
+], ids=["omega-underscore", "omega-zero-den", "witness-plus", "witness-decimal",
+        "t-exponent", "t-word"])
+def test_manifest_rationals_are_plain_fractions(tmp_path, capsys, bad, message):
+    path = write(tmp_path, "bad.txt", _RAT_OPERATOR % bad)
+    code, out, err = run_cli(capsys, ["mclosure", path])
+    assert (code, out, err) == (2, "", "parse error: %s\n" % message)
+    path = write(tmp_path, "ok.txt", _RAT_OPERATOR % _RAT_GOOD)
+    code, _, _ = run_cli(capsys, ["mclosure", path])
+    assert code == 0
+
+
+@pytest.mark.parametrize("width", ["1_0", "1e3", "+1/2", "0.5", "\u0661"])
+def test_width_is_a_plain_fraction(tmp_path, capsys, width):
+    # --width is read like the manifest rationals
+    path = write(tmp_path, "roots.txt", "[ring]\nx = x1\n[poly]\nx1^2 - 2\n")
+    code, out, err = run_cli(capsys, ["roots", path, "--width", width])
+    assert (code, out, err) == (2, "", "parse error: bad --width %r\n" % width)
+    code, out, _ = run_cli(capsys, ["roots", path, "--width", "1/2"])
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_zero_denominator_in_a_polynomial_is_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "roots.txt", "[ring]\nx = x1\n[poly]\nx1 - 1/0\n")
+    code, out, err = run_cli(capsys, ["roots", path])
+    assert (code, out, err) == (2, "", "parse error: line 4: bad rational constant\n")
+
+
+@pytest.mark.parametrize("command, text, good, line", [
+    ("eliminate", "[ring]\nx = x1, x2\n[polys]\nx1 - x2\n[drop]\nx1, %s\n", "x2", 6),
+    ("qdiv", "[ring]\nx = x1\ny = y1\n[target]\ny1^2\n[divisors]\ny1 ; %s\n", "y1", 7),
+], ids=["drop", "divisors"])
+def test_unknown_variable_name_is_parse_error(tmp_path, capsys, command, text, good, line):
+    # as inside a polynomial: exit 2 with the line, not a domain error
+    code, out, err = run_cli(capsys, [command, write(tmp_path, "bad.txt", text % "w1")])
+    assert (code, out, err) == (2, "", "parse error: line %d: unknown variable 'w1'\n" % line)
+    code, _, _ = run_cli(capsys, [command, write(tmp_path, "ok.txt", text % good)])
+    assert code == 0
+
+
+_NON_ASCII = b"# caf\xc3\xa9\n[ring]\nx = x1, x2\norder = lex\n[polys]\nx1 - x2\nx2 - 1\n"
+
+
+def test_non_ascii_manifest_is_a_read_error(tmp_path, capsys, monkeypatch):
+    # a file and stdin are both read as ASCII; a byte outside it exits 2
+    # before anything is parsed
+    path = tmp_path / "gb.txt"
+    path.write_bytes(_NON_ASCII)
+    for argv, data in ((["gb", str(path)], b""), (["gb", "-"], _NON_ASCII)):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read manifest: 'ascii' codec can't decode byte 0xc3")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(_NON_ASCII[8:])))
+    assert run_cli(capsys, ["gb", "-"]) == (0, "x1 - 1\nx2 - 1\n", "")
+
+
 # a [coeffs] component outside 1..j fails at its line while the manifest is
 # read, as an [op] component does, not when main_mclosure reaches the stratum
 @pytest.mark.parametrize("comp", ["0", "2"])

@@ -147,16 +147,21 @@ def test_annihilators_the_rule_cannot_decide_load_sympy(tmp_path, ann, witness, 
     assert out == basis + "\n"
 
 
+PKG = os.path.dirname(os.path.abspath(diffmod.__file__))
+MODULES = sorted(name for name in os.listdir(PKG) if name.endswith(".py"))
+
+
+def _module_tree(name):
+    """The parsed source of the package module `name`, such as 'poly.py'."""
+    with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 def test_no_module_imports_random():
     # identical input and flags give byte-identical output, so no code path
     # may draw from a seeded generator
-    pkg = os.path.dirname(os.path.abspath(diffmod.__file__))
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
+    for name in MODULES:
+        for node in ast.walk(_module_tree(name)):
             if isinstance(node, ast.Import):
                 roots = [a.name.split(".")[0] for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -169,9 +174,7 @@ def test_no_module_imports_random():
 def test_pipeline_builds_its_systems_in_one_place():
     # every stage system reaches critical_l_columns through _solve_system,
     # so no second bucketing or column path can drift from it
-    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "pipeline.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _module_tree("pipeline.py")
     defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     callers = {f.name for f in defs for node in ast.walk(f)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -184,14 +187,9 @@ def test_linear_systems_reach_one_solver():
     # a matrix is a list of column vectors everywhere; syzygies, saturation
     # and the critical exponent eliminate row components only inside
     # critical_l_columns, and no dense system type or converter is left
-    src = os.path.dirname(os.path.abspath(diffmod.__file__))
     callers, names = set(), set()
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
+    for name in MODULES:
+        for node in ast.walk(_module_tree(name)):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
             if not isinstance(node, ast.FunctionDef):
@@ -208,13 +206,11 @@ def test_linear_systems_reach_one_solver():
 def test_ambient_maps_go_through_one_pull_back():
     # outside poly.py only vanishing.pull_back applies a coordinate map T,
     # and no second wrapper re-checks the annihilators a Stratum checked
-    src = os.path.dirname(os.path.abspath(diffmod.__file__))
     callers, classes = set(), set()
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py") or name == "poly.py":
+    for name in MODULES:
+        if name == "poly.py":
             continue
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+        tree = _module_tree(name)
         classes |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
         calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -232,9 +228,7 @@ def test_x_rewrite_keys_by_multi_index():
     # the rewrite expands (Delta d_x)^a by X-counts, one item per k <= a,
     # not by 2^|a| choices, and X_j is frame.fields[j]: product runs only in
     # _sub_multis, and no position map over frame.x_indices is left
-    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "operators.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _module_tree("operators.py")
     defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     allowed = {node for f in defs if f.name == "_sub_multis" for node in ast.walk(f)}
     stray = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -248,13 +242,42 @@ def test_x_rewrite_keys_by_multi_index():
     assert "_split_alpha" not in {f.name for f in defs}
 
 
+def test_x_rewrite_by_two_closed_forms():
+    # one Horner expansion materializes every sum of words X^alpha o op and
+    # one Leibniz table pushes each coefficient through a term's words: no
+    # word is composed letter by letter beside it, no push recurses per
+    # letter, and the frame fields reach compose only through _expand
+    tree = _module_tree("operators.py")
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not set(defs) & {"_compose", "_push_coeff"}
+    recursive = {name for name, f in defs.items() for node in ast.walk(f)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name}
+    assert recursive == {"_rewrite", "_expand"}, recursive
+    composers = {name for name, f in defs.items() for node in ast.walk(f)
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compose"
+                 and "fields" in {getattr(n, "attr", getattr(n, "id", None))
+                                  for n in ast.walk(node.func.value)}}
+    assert composers == {"_expand"}, composers
+    # frame.fields is an argument of _expand or, subscripted, applies X_j to
+    # a coefficient of the Leibniz table
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_expand":
+            allowed.add(node.args[0])
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "apply_poly"
+                and isinstance(node.func.value, ast.Subscript)):
+            allowed.add(node.func.value.value)
+    uses = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "fields" and getattr(node.value, "id", None) == "frame"
+            and node not in allowed]
+    assert not uses, uses
+
+
 def test_groebner_reduces_through_one_normal_form():
     # the pairs leave a Groebner basis, so one inter-reduction pass gives
     # the reduced basis; exact division is a normal form, not a second
     # leading-term loop
-    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "groebner.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _module_tree("groebner.py")
     defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     whiles = [node for node in ast.walk(defs["_buchberger_core"]) if isinstance(node, ast.While)]
     assert len(whiles) == 1 and ast.unparse(whiles[0].test) == "heap", whiles
@@ -270,9 +293,7 @@ def test_groebner_reduces_through_one_normal_form():
 def test_semialgebraic_sets_are_unions_of_clauses():
     # a description is a tuple of clauses of SignConditions, not a Boolean
     # tree, and the relation table lives in SignCondition.holds_for alone
-    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "realroots.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _module_tree("realroots.py")
     classes = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     assert not set(classes) & {"Desc", "Atom", "And", "Or", "TrueDesc"}, sorted(classes)
     methods = {node.name for node in ast.walk(classes["SemialgebraicDescription"])
@@ -288,9 +309,7 @@ def test_annihilator_powers_come_from_one_rule():
     # stage I's box and final system and stage II's z-box, D2 floor and
     # cofactor columns raise the annihilators through _annihilator_powers,
     # and no flat ord + 1 power is left beside it
-    path = os.path.join(os.path.dirname(os.path.abspath(diffmod.__file__)), "pipeline.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _module_tree("pipeline.py")
     defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
     def callers(attr):

@@ -12,8 +12,9 @@ from diffmod.errors import DomainError, StructuralError
 from diffmod.groebner import (SubmoduleBasis, full_module, ideal,
                               module_equal, normal_form)
 from diffmod.manifest import parse_operator_manifest
-from diffmod.operators import (LinearDiffOp, lift_operator, mclosure_poly_coeffs,
-                               zero_op)
+from diffmod.operators import (LinearDiffOp, build_tangent_frame,
+                               eliminate_x_derivatives, lift_operator,
+                               mclosure_poly_coeffs, zero_op)
 from diffmod.pipeline import (OperatorStratum, StratifiedOperator, algorithm_I,
                               algorithm_II, algorithm_IV, check_on_stratum,
                               graph_solution_module, main_mclosure)
@@ -514,13 +515,13 @@ def test_certificate_uses_monomials_up_to_the_operator_order(monkeypatch):
         check_on_stratum(st, op, SubmoduleBasis(basis.ring, 1, [f]))
 
 
-# -- the x-derivative rewrite at every order up to 3, and at 4 and 6 -----------
+# -- the x-derivative rewrite at every order up to 3, and at 4, 6 and 8 --------
 
-# every row (alpha;beta) of total order <= 3 on the 2-D sheets, then two
-# rows of order 4 and 6
+# every row (alpha;beta) of total order <= 3 on the 2-D sheets, then three
+# rows of order 4, 6 and 8
 ORDER_ROWS = [("%d,%d" % (a1, a2), "%d" % b)
               for a1, a2, b in sorted(product(range(4), repeat=3), key=sum)
-              if a1 + a2 + b <= 3] + [("0,0", "4"), ("2,2", "2")]
+              if a1 + a2 + b <= 3] + [("0,0", "4"), ("2,2", "2"), ("4,4", "0")]
 REWRITE_GOLDEN = Path(__file__).parent / "golden" / "x_rewrite_ledger.txt"
 REWRITE_KEYS = ("rewrite_D", "rewrite_pieces", "piece", "intersect_gens")
 
@@ -544,7 +545,7 @@ def _rewrite_ledger(alpha, beta, res):
 
 @pytest.mark.parametrize("alpha, beta", ORDER_ROWS)
 def test_order_three_rows_finish_within_budget(alpha, beta):
-    # the shipped positive indicator with order k <= 3, 4 or 6 on its 2-D
+    # the shipped positive indicator with order k <= 3, 4, 6 or 8 on its 2-D
     # sheets: the module is (f^(k+1)), f = x2^2*x3 - x1^2, and the rewrite
     # ledger equals the row's block in tests/golden/x_rewrite_ledger.txt
     k = sum(int(e) for e in alpha.split(",")) + int(beta)
@@ -563,6 +564,30 @@ def test_order_three_rows_finish_within_budget(alpha, beta):
         head = line if line.startswith("# row") else head
         blocks.setdefault(head, []).append(line)
     assert blocks[ledger[0]] == ledger
+
+
+def test_rewrite_of_x_order_five_five_meets_its_alarm():
+    # z1*dx^(5,5) on the first 2-D sheet of the shipped positive indicator:
+    # Delta^55 times it is the sum of X^u o L_u over the 36 pieces u <= (5,5).
+    # One Horner expansion and one Leibniz table per term meet the alarm
+    # with more than 2x to spare; composing every word letter by letter and
+    # pushing coefficients by a recursion that calls itself twice per letter
+    # missed it by more than 2x
+    text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
+    os_ = parse_operator_manifest(text.replace(
+        "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (5,5) ; (0) ; 1")).strata[0]
+    st = os_.stratum
+    op = lift_operator(os_.entries, st.ring, 1, st.n, st.m, st.p)
+    frame = build_tangent_frame(st)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        d, pieces = eliminate_x_derivatives(op, frame)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert d == 55
+    assert sorted(pieces) == sorted(product(range(6), range(6), [0], [0]))
 
 
 # -- the cost curve: every row of order <= 4, and two high-order rows ----------
