@@ -25,14 +25,14 @@ variable, elimination, module equality, and the critical exponent of
 chains M_0 <= M_1 <= ...  A matrix is a list of column vectors, like
 the generators of a SubmoduleBasis.  Syzygies, saturation and the
 critical exponent are one routine, `critical_l_columns`, which takes
-its columns sparse, {row: nonzero Polynomial} (`_sparse` converts a
-vector), and shares `_eliminate_tag` with intersection and elimination.
-It eliminates t from the Rabinowitsch generators (t*Delta - 1) e_i.
-Before that, every row with a constant entry in some A column is
-cleared from the other columns and dropped with that column, which
-changes no M_l.  A constant Delta, as for syzygies, makes the chain
-constant, so l0 = 0 and M_0 is one elimination over Q[x], with no t,
-no Rabinowitsch generators and no basis of col(A).
+its columns as mvecs with the row as component (`vec_to_mvec` converts
+a vector), and shares `_eliminate_tag` with intersection and
+elimination.  It eliminates t from the Rabinowitsch generators
+(t*Delta - 1) e_i.  Before that, every row with a constant entry in
+some A column is cleared from the other columns and dropped with that
+column, which changes no M_l.  A constant Delta, as for syzygies, makes
+the chain constant, so l0 = 0 and M_0 is one elimination over Q[x],
+with no t, no Rabinowitsch generators and no basis of col(A).
 """
 
 from __future__ import annotations
@@ -417,7 +417,7 @@ def syzygy_module(gens):
         raise StructuralError("no generators")
     ring = gens[0].ring
     _check_ring(ring, gens)
-    return critical_l_columns(len(gens[0]), [], [_sparse(g) for g in gens],
+    return critical_l_columns(len(gens[0]), [], [vec_to_mvec(g) for g in gens],
                               Polynomial.one(ring))[1]
 
 
@@ -448,11 +448,6 @@ def solve_inhomogeneous(gens, target):
     return PolyVec(sol)
 
 
-def _sparse(g):
-    """The vector g as a sparse column {row: nonzero Polynomial}."""
-    return {i: p for i, p in enumerate(g.comps) if p.terms}
-
-
 def _check_ring(ring, items):
     """Raise StructuralError unless every vector or polynomial in items is
     over ring; the core would loop forever on monomials of two lengths."""
@@ -460,53 +455,40 @@ def _check_ring(ring, items):
         raise StructuralError("mixed rings in system")
 
 
-def _prune(rows, a_cols, b_cols):
+def _prune(rows, a_cols, b_cols, zero):
     """Unit-pivot pre-elimination of the system Delta^l * B P in col(A).
 
-    Takes the sparse columns {row: nonzero Polynomial} of
-    `critical_l_columns` and clears copies of them.  Both pipeline stages
-    divide by the annihilators with a constant lead while they build
-    their systems, so the unit pivots left come from non-constant leads,
-    unit entries of stage-I generators, `saturate` and `critical_l`.  For
-    an A column c whose row-r entry is a nonzero constant a, every other
-    A and B column v loses (v_r / a) * c.  Then only c reaches row r, so
-    a combination of A columns that is zero in row r has no c-part:
-    dropping row r and column c leaves every M_l the same.  Rows are
-    taken in order, each with the unit column that touches the fewest
-    rows.  Returns (rows left, A mvecs, B mvecs) over the rows left.
+    Takes the mvec columns of `critical_l_columns` and clears copies of
+    them; `zero` is the zero monomial.  Both pipeline stages divide by the
+    annihilators with a constant lead while they build their systems, so
+    the unit pivots left come from non-constant leads, unit entries of
+    stage-I generators, `saturate` and `critical_l`.  For an A column c
+    whose row-r part is a lone nonzero constant a, every other A and B
+    column v loses (v_r / a) * c.  Then only c reaches row r, so a
+    combination of A columns that is zero in row r has no c-part:
+    dropping row r and column c leaves every M_l the same.  Rows are taken
+    in order, each with the unit column of fewest terms, the first on a
+    tie.  Returns (rows left, A mvecs, B mvecs) over the rows left.
     """
     na = len(a_cols)
     cols = [dict(col) for col in a_cols + b_cols]
-    touching = [set() for _ in range(rows)]
-    for k, col in enumerate(cols):
-        for i in col:
-            touching[i].add(k)
     kept = []
     for r in range(rows):
-        units = [k for k in touching[r] if k < na and cols[k][r].is_constant()]
+        unit = (r, zero)
+        units = [k for k in range(na) if unit in cols[k]
+                 and sum(key[0] == r for key in cols[k]) == 1]
         if not units:
             kept.append(r)
             continue
         c = min(units, key=lambda k: (len(cols[k]), k))
         pivot, cols[c] = cols[c], {}
-        a = pivot.pop(r).constant_value()
-        for s in pivot:
-            touching[s].discard(c)
-            pivot[s] = pivot[s] * (1 / a)
-        for k in touching[r] - {c}:
-            col = cols[k]
-            f = col.pop(r)
-            for s, e in pivot.items():
-                v = col[s] - f * e if s in col else -(f * e)
-                if v.terms:
-                    col[s] = v
-                    touching[s].add(k)
-                else:
-                    del col[s]
-                    touching[s].discard(k)
+        a = Fraction(pivot.pop(unit))
+        pivot = {key: v / a for key, v in pivot.items()}
+        for col in cols:
+            for key in [key for key in col if key[0] == r]:
+                _mv_axpy(col, col.pop(key), key[1], pivot)
     new = {r: i for i, r in enumerate(kept)}
-    mvs = [{(new[i], m): v for i, p in col.items() for m, v in p.terms.items()}
-           for col in cols]
+    mvs = [{(new[i], m): v for (i, m), v in col.items()} for col in cols]
     return len(kept), mvs[:na], mvs[na:]
 
 
@@ -522,7 +504,8 @@ def _eliminate_tag(mvs, ring, j, comp_elim=0, drop=()):
     last variable t, or over the ring itself when they are free of t.  One
     Groebner basis under an order eliminating t, the ring variables `drop`
     and the first comp_elim components; its elements free of all three,
-    shifted down, are the reduced basis of the elimination module.
+    shifted down, are the reduced basis of the elimination module.  On
+    such elements the order is top-grevlex, so that is the basis's order.
     """
     nv = ring.nvars
     morder = ModuleOrder(elim_order([*drop, nv]), "top", comp_elim=comp_elim)
@@ -548,7 +531,8 @@ def intersect(m1, m2):
         tagged = _with_tag(mv)
         tagged.update({k: -c for k, c in _with_tag(mv, 1).items()})
         mvs.append(tagged)
-    return SubmoduleBasis(m1.ring, m1.j, _eliminate_tag(mvs, m1.ring, m1.j))
+    return SubmoduleBasis(m1.ring, m1.j, _eliminate_tag(mvs, m1.ring, m1.j),
+                          is_groebner=True)
 
 
 def eliminate(basis, drop):
@@ -556,7 +540,8 @@ def eliminate(basis, drop):
     ring = basis.ring
     drop = sorted({d if isinstance(d, int) else ring.index(d) for d in drop})
     mvs = [vec_to_mvec(g) for g in basis.gens]
-    return SubmoduleBasis(ring, basis.j, _eliminate_tag(mvs, ring, basis.j, drop=drop))
+    return SubmoduleBasis(ring, basis.j, _eliminate_tag(mvs, ring, basis.j, drop=drop),
+                          is_groebner=True)
 
 
 def poly_exact_div(p, f):
@@ -578,9 +563,9 @@ def saturate(basis, f):
     of critical_l_columns with A the generators of M, B the identity,
     Delta = f."""
     _check_ring(basis.ring, [f])
-    one = Polynomial.one(basis.ring)
-    b_cols = [{i: one} for i in range(basis.j)]
-    return critical_l_columns(basis.j, [_sparse(g) for g in basis.gens], b_cols, f)[1]
+    zero = (0,) * basis.ring.nvars
+    b_cols = [{(i, zero): Fraction(1)} for i in range(basis.j)]
+    return critical_l_columns(basis.j, [vec_to_mvec(g) for g in basis.gens], b_cols, f)[1]
 
 
 def critical_l(a_gens, b_gens, delta):
@@ -592,15 +577,15 @@ def critical_l(a_gens, b_gens, delta):
     if any(len(g) != rows for g in (*a_gens, *b_gens)):
         raise StructuralError("A/B row mismatch")
     _check_ring(delta.ring, (*a_gens, *b_gens))
-    return critical_l_columns(rows, [_sparse(g) for g in a_gens],
-                              [_sparse(g) for g in b_gens], delta)
+    return critical_l_columns(rows, [vec_to_mvec(g) for g in a_gens],
+                              [vec_to_mvec(g) for g in b_gens], delta)
 
 
 def critical_l_columns(rows, a_cols, b_cols, delta):
     """Critical exponent of the chain M_l = {P : Delta^l * B P in col(A)}.
 
-    A and B have `rows` rows and come as sparse columns {row: nonzero
-    Polynomial}, which are not modified.  The chain ascends to
+    A and B have `rows` rows and come as mvec columns {(row, monomial):
+    nonzero coefficient}, which are not modified.  The chain ascends to
     M_inf = {P : Delta^l * B P in col(A) for some l}.  First `_prune`
     removes each row with a unit pivot in A, which leaves every M_l
     unchanged; systems divided by constant leads have few left.
@@ -619,7 +604,7 @@ def critical_l_columns(rows, a_cols, b_cols, delta):
         raise DomainError("Delta must be nonzero")
     ring = delta.ring
     kk = len(b_cols)
-    rows, a_cols, b_cols = _prune(rows, a_cols, b_cols)
+    rows, a_cols, b_cols = _prune(rows, a_cols, b_cols, (0,) * ring.nvars)
     tag = rows > 0 and not delta.is_constant()
     one = (0,) * (ring.nvars + tag)
     mvs = b_cols + a_cols

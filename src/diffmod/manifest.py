@@ -72,8 +72,19 @@ class Section:
         self.payload = []    # (text, line)
 
 
-# sections whose lines are `key = value`; all others carry raw payload lines
-_KEYED = {"ring", "stratum", "operator", "params"}
+# sections whose lines are `key = value`, with the keys each may hold;
+# all others carry raw payload lines.  [stratum] also takes `anny K` and
+# `annz K`, whose index K parse_stratum checks
+_KEYED = {"ring": {"x", "y", "z", "order"},
+          "stratum": {"n", "m", "p", "u", "t", "witness"},
+          "operator": {"n", "j", "k"},
+          "params": {"power"}}
+
+
+def _known_key(section, key):
+    words = key.split()
+    return key in _KEYED[section] or (
+        section == "stratum" and len(words) == 2 and words[0] in ("anny", "annz"))
 
 
 def split_sections(text):
@@ -96,6 +107,8 @@ def split_sections(text):
                 raise ManifestError("expected 'key = value'", lineno)
             key, value = (part.strip() for part in line.split("=", 1))
             key = " ".join(key.lower().split())
+            if not _known_key(current.name, key):
+                raise ManifestError("unknown key %r" % key, lineno)
             if key in current.keys:
                 raise ManifestError("duplicate key %r" % key, lineno)
             current.keys[key] = (value, lineno)

@@ -14,11 +14,10 @@ z-independent solutions over the (x, y)-ring from stage I's generators
 by a z-degree-bounded solvability system.
 
 Both stages, and stage I's final system, describe each column as
-(row prefix, terms) parts, and `_solve_system` turns them into the
-sparse columns of `critical_l_columns`.  Both stages follow one
-annihilator rule (`_annihilator_rule`): an annihilator power with a
-constant lead is divided out of every entry, any other gets cofactor
-columns.
+(row prefix, terms) parts, and `_solve_system` adds them into the mvec
+columns of `critical_l_columns`.  Both stages follow one annihilator
+rule (`_annihilator_rule`): an annihilator power with a constant lead
+is divided out of every entry, any other gets cofactor columns.
 
 Stage IV: arbitrary polynomial-coefficient operators; the tangent frame
 rewrites away x-derivatives, stage II handles each rewritten piece, and
@@ -40,8 +39,8 @@ from itertools import product
 from operator import add
 
 from .errors import DomainError, StructuralError
-from .groebner import (SubmoduleBasis, buchberger, critical_l_columns,
-                       full_module, intersect, normal_form)
+from .groebner import (SubmoduleBasis, critical_l_columns, full_module,
+                       intersect, normal_form)
 from .operators import (build_tangent_frame, eliminate_x_derivatives,
                         lift_operator)
 from .poly import Polynomial, PolyVec, Ring, mat_inverse
@@ -78,25 +77,23 @@ def _solve_system(small, a_parts, b_parts, delta, units=()):
     """`critical_l_columns` of the bounded system over `small`, a prefix of
     the full ring, whose A and B columns are lists of (row prefix,
     {monomial: coeff}) parts over the full ring.  Each part is reduced
-    modulo the constant-lead quasi-monic `units`; its term m then lands in
-    row (prefix, m[k:]) with base monomial m[:k], k = small.nvars.  Rows
-    are numbered in sorted key order."""
+    modulo the constant-lead quasi-monic `units`; its term m then adds to
+    the column's mvec at row (prefix, m[k:]) and base monomial m[:k],
+    k = small.nvars.  Rows are numbered in sorted key order."""
     k = small.nvars
     tables = remainder_tables(units)
-    rows = {}
-    for kind, cols in enumerate((a_parts, b_parts)):
-        for ci, parts in enumerate(cols):
-            for prefix, terms in parts:
+    cols = [[{} for _ in parts] for parts in (a_parts, b_parts)]
+    for kind, parts in zip(cols, (a_parts, b_parts)):
+        for col, col_parts in zip(kind, parts):
+            for prefix, terms in col_parts:
                 for m, c in reduce_by_tables(terms, tables).items():
-                    entry = rows.setdefault((prefix, m[k:]), {}).setdefault((kind, ci), {})
-                    entry[m[:k]] = entry.get(m[:k], 0) + c
-    cols = ([{} for _ in a_parts], [{} for _ in b_parts])
-    for i, key in enumerate(sorted(rows)):
-        for (kind, ci), entry in rows[key].items():
-            p = Polynomial(small, entry)
-            if p.terms:
-                cols[kind][ci][i] = p
-    return critical_l_columns(len(rows), *cols, _restrict(delta, small))
+                    key = ((prefix, m[k:]), m[:k])
+                    col[key] = col.get(key, 0) + c
+    rows = sorted({row for kind in cols for col in kind for row, _ in col})
+    index = {row: i for i, row in enumerate(rows)}
+    a_cols, b_cols = [[{(index[row], m): c for (row, m), c in col.items() if c}
+                       for col in kind] for kind in cols]
+    return critical_l_columns(len(rows), a_cols, b_cols, _restrict(delta, small))
 
 
 def _annihilator_rule(ring, qs, idxs, top):
@@ -381,8 +378,7 @@ def main_mclosure(sop, check=False):
         _note(logs, "running_gens", len(result.gens))
     if result is None:
         result = full_module(amb, sop.j)
-    if result.gens:
-        result = buchberger(result)
+    result = result.groebner()
     for os, op, vanishing, local in checks:
         tinv = None if os.t_ambient is None else mat_inverse(os.t_ambient)
         pulled = pull_back(result, local.ring, tinv)

@@ -311,4 +311,4 @@ def vanishing_ideal(strata, budget=20000):
     for s in strata:
         contrib = pull_back(complexify(s, budget=budget), ring, s.T)
         result = contrib if result is None else intersect(result, contrib)
-    return buchberger(result) if result.gens else result
+    return result.groebner()

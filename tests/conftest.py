@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,20 @@ def random_columns(rng, ring, rows, ncols, **kw):
     matrix = [[random_polynomial(rng, ring, **kw) for _ in range(ncols)]
               for _ in range(rows)]
     return [PolyVec(col) for col in zip(*matrix)]
+
+
+def within(seconds, fn):
+    """fn() under a real-time alarm of `seconds`, so that a cost cliff
+    fails with TimeoutError instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("took more than %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

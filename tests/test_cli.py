@@ -342,6 +342,29 @@ def test_manifest_integers_are_plain_digits(tmp_path, capsys, command, text, goo
     assert code == 0
 
 
+# every keyed section reads a fixed set of keys, so a misspelled key is a
+# parse error instead of a silently ignored line
+_KEY_QDIV = ("[ring]\nx = x1\ny = y1\n[target]\ny1^2\n[divisors]\ny1 ; y1\n"
+             "[params]\n%s = 2\n")
+_KEY_GB = "[ring]\nx = x1, x2\n%s = lex\n[polys]\nx1 - x2^2\n"
+_KEY_VANISH = ("[stratum]\nn = 1\nm = 1\np = 0\nU = x1 > 0\nanny 1 = y1 - x1^2\n"
+               "%s = 1, 1\n")
+
+
+@pytest.mark.parametrize("command, text, good, bad, message", [
+    ("qdiv", _KEY_QDIV, "power", "powr", "line 9: unknown key 'powr'"),
+    ("gb", _KEY_GB, "order", "ordr", "line 3: unknown key 'ordr'"),
+    ("vanish", _KEY_VANISH, "witness", "witnes", "line 7: unknown key 'witnes'"),
+    ("vanish", _KEY_VANISH, "witness", "", "line 7: unknown key ''"),
+], ids=["params-power", "ring-order", "stratum-witness", "stratum-empty"])
+def test_misspelled_keys_are_parse_errors(tmp_path, capsys, command, text, good, bad,
+                                          message):
+    code, out, err = run_cli(capsys, [command, write(tmp_path, "bad.txt", text % bad)])
+    assert (code, out, err) == (2, "", "parse error: %s\n" % message)
+    code, _, _ = run_cli(capsys, [command, write(tmp_path, "ok.txt", text % good)])
+    assert code == 0
+
+
 # every manifest rational is an integer or num/den, read like the integers:
 # Fraction() alone would also read '1_0', '1e3', '+1/2' and '0.5'
 _RAT_OPERATOR = ("[operator]\nn = 2\nj = 1\nk = 1\n[stratum]\nn = 2\nm = 0\np = 1\n"
@@ -786,22 +809,28 @@ witness = 1, 1, 1
 
 def test_mclosure_check_certifies_the_printed_generators(tmp_path, capsys, monkeypatch):
     # row (1,0;1) on the 2-D sheets of the positive level set: the module is
-    # (f^3); a final basis that prints f^2 instead must fail --check
+    # (f^3); a final basis that prints f^2 instead must fail --check.  The
+    # final groebner() of main_mclosure is its only one over the ambient
+    # ring, as every stratum ring has a z-block
     import pathlib
-    from diffmod import groebner, pipeline
-    from diffmod.poly import Polynomial
+    from diffmod import groebner
+    from diffmod.poly import Polynomial, Ring
 
     root = pathlib.Path(__file__).resolve().parent.parent / "manifests"
     text = (root / "level_set_positive_indicator.txt").read_text()
     path = write(tmp_path, "op.txt", text.replace(
         "1 ; 1 ; (0,0) ; (0) ; 1", "1 ; 1 ; (1,0) ; (1) ; 1"))
+    inner = groebner.SubmoduleBasis.groebner
 
     def drop_a_power(basis):
+        gb = inner(basis)
+        if basis.ring != Ring.make(nx=3):
+            return gb
         f = Polynomial.parse(basis.ring, "x2^2*x3 - x1^2")
-        assert [g[0] for g in groebner.buchberger(basis).gens] == [f ** 3]
+        assert [g[0] for g in gb.gens] == [f ** 3]
         return groebner.SubmoduleBasis(basis.ring, 1, [f ** 2])
 
-    monkeypatch.setattr(pipeline, "buchberger", drop_a_power)
+    monkeypatch.setattr(groebner.SubmoduleBasis, "groebner", drop_a_power)
     code, _, err = run_cli(capsys, ["mclosure", path, "--check"])
     assert code == 3
     assert "soundness certificate failed" in err

@@ -362,8 +362,8 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
             open_calls[-1] += 1
         return inner_cl(rows, a_cols, b_cols, delta)
 
-    def spy_prune(rows, a_cols, b_cols):
-        res = inner_prune(rows, a_cols, b_cols)
+    def spy_prune(rows, a_cols, b_cols, zero):
+        res = inner_prune(rows, a_cols, b_cols, zero)
         if stage_one and len(stage_one[-1]) == 1:
             stage_one[-1].append(res[0])
         return res

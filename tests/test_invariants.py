@@ -200,7 +200,7 @@ def test_linear_systems_reach_one_solver():
                         and any(k.arg == "comp_elim" for k in call.keywords)):
                     callers.add(node.name)
     assert callers == {"critical_l_columns"}, callers
-    assert not names & {"LinearSystemOverRing", "solution_module", "_columns"}
+    assert not names & {"LinearSystemOverRing", "solution_module", "_columns", "_sparse"}
 
 
 def test_ambient_maps_go_through_one_pull_back():

@@ -1,5 +1,4 @@
 import random
-import signal
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diffmod import pipeline
+from diffmod import groebner, pipeline
 from diffmod.errors import DomainError, StructuralError
 from diffmod.groebner import (SubmoduleBasis, full_module, ideal,
                               module_equal, normal_form)
@@ -22,6 +21,7 @@ from diffmod.poly import Polynomial, PolyVec, Ring
 from diffmod.realroots import SemialgebraicDescription, atom, desc_and
 from diffmod.vanishing import Stratum, complexify
 
+from conftest import within
 from oracle import monomials_up_to, nullspace_sparse
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -171,6 +171,30 @@ def test_stage1_non_constant_lead_brute_force():
     L = LinearDiffOp(st.ring, 1, {((0, 1), 0): 1})
     res = algorithm_I(st, L)
     assert_matches_brute_force(st, L, res.basis, degcap=6)
+
+
+def test_stage1_non_constant_lead_system_is_pruned(monkeypatch):
+    # d_y1 on x1*y1^2 - 1: the lead x1 is not constant, so the stage-I
+    # system keeps its P columns and is born with 8 rows; _prune clears
+    # half of them by unit pivots before the elimination
+    st = non_constant_lead_stratum()
+    L = LinearDiffOp(st.ring, 1, {((0, 1), 0): 1})
+    vanishing = complexify(st)
+    systems = []
+    inner_cl, inner_elim = pipeline.critical_l_columns, groebner._eliminate_tag
+
+    def spy_cl(rows, a_cols, b_cols, delta):
+        systems.append([rows])
+        return inner_cl(rows, a_cols, b_cols, delta)
+
+    def spy_elim(mvs, ring, j, comp_elim=0, drop=()):
+        systems[-1].append(comp_elim)
+        return inner_elim(mvs, ring, j, comp_elim, drop)
+
+    monkeypatch.setattr(pipeline, "critical_l_columns", spy_cl)
+    monkeypatch.setattr(groebner, "_eliminate_tag", spy_elim)
+    within(5, lambda: algorithm_I(st, L, vanishing))
+    assert systems[0] == [8, 4]
 
 
 def test_stage1_undifferentiated_variable_takes_power_one():
@@ -526,10 +550,6 @@ REWRITE_GOLDEN = Path(__file__).parent / "golden" / "x_rewrite_ledger.txt"
 REWRITE_KEYS = ("rewrite_D", "rewrite_pieces", "piece", "intersect_gens")
 
 
-def _expire(signum, frame):
-    raise TimeoutError("a row of the positive indicator ran over its time budget")
-
-
 def _row_mclosure(alpha, beta):
     text = (MANIFESTS / "level_set_positive_indicator.txt").read_text()
     return main_mclosure(parse_operator_manifest(text.replace(
@@ -549,13 +569,7 @@ def test_order_three_rows_finish_within_budget(alpha, beta):
     # sheets: the module is (f^(k+1)), f = x2^2*x3 - x1^2, and the rewrite
     # ledger equals the row's block in tests/golden/x_rewrite_ledger.txt
     k = sum(int(e) for e in alpha.split(",")) + int(beta)
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.alarm(30)
-    try:
-        res = _row_mclosure(alpha, beta)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    res = within(30, lambda: _row_mclosure(alpha, beta))
     f = P(res.basis.ring, "x2^2*x3 - x1^2")
     assert [g[0] for g in res.basis.gens] == [f ** (k + 1)]
     ledger = _rewrite_ledger(alpha, beta, res)
@@ -579,13 +593,7 @@ def test_rewrite_of_x_order_five_five_meets_its_alarm():
     st = os_.stratum
     op = lift_operator(os_.entries, st.ring, 1, st.n, st.m, st.p)
     frame = build_tangent_frame(st)
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, 3)
-    try:
-        d, pieces = eliminate_x_derivatives(op, frame)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    d, pieces = within(3, lambda: eliminate_x_derivatives(op, frame))
     assert d == 55
     assert sorted(pieces) == sorted(product(range(6), range(6), [0], [0]))
 
@@ -607,13 +615,7 @@ def test_cost_curve_rows_give_the_power_of_f(alpha, beta, seconds):
     k = sum(int(e) for e in alpha.split(",")) + int(beta)
     strata = _positive_strata(random.Random("mclosure:%d" % COST_SEED))
     sop = parse_operator_manifest(indicator_manifest(strata, (alpha, beta)))
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        res = main_mclosure(sop)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    res = within(seconds, lambda: main_mclosure(sop))
     f = P(res.basis.ring, "x2^2*x3 - x1^2")
     assert module_equal(res.basis, ideal(res.basis.ring, [f ** (k + 1)]))
 

@@ -1,5 +1,4 @@
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,8 @@ from diffmod.realroots import (IsolatingInterval, SemialgebraicDescription,
                                desc_and, find_witness_point,
                                isolate_real_roots, refine_interval,
                                sturm_chain_dense, _squarefree, _to_integer)
+
+from conftest import within
 
 R1 = Ring(("x",), "x")
 
@@ -240,19 +241,6 @@ def test_refinement_keeps_sign_change():
     assert narrow.lower ** 2 < 2 < narrow.upper ** 2
 
 
-def _within(seconds, fn):
-    """fn() under an alarm, so that a cost cliff fails instead of hanging."""
-    def expire(signum, frame):
-        raise TimeoutError("took more than %d s" % seconds)
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        return fn()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def _isolate_and_refine(p):
     return [refine_interval(p, iv, Fraction(1, 10 ** 6)) for iv in isolate_real_roots(p)]
 
@@ -262,7 +250,7 @@ def test_refinement_rejects_nonpositive_width(width):
     p = P("x^2 - 2")
     for iv in isolate_real_roots(p) + [IsolatingInterval(Fraction(1), Fraction(1), exact=True)]:
         with pytest.raises(DomainError):
-            _within(5, lambda: refine_interval(p, iv, width))
+            within(5, lambda: refine_interval(p, iv, width))
     # rejected before isolation, so also without any real root
     for q in (p, P("x - 1"), P("x^2 + 1")):
         with pytest.raises(DomainError):
@@ -272,7 +260,7 @@ def test_refinement_rejects_nonpositive_width(width):
 def test_no_cliff_on_large_constant_term():
     # trial division up to sqrt(10^30) would never finish
     p = P("x^3 - 7*x + %d" % 10 ** 30)
-    [iv] = _within(5, lambda: _isolate_and_refine(p))
+    [iv] = within(5, lambda: _isolate_and_refine(p))
     assert not iv.exact and iv.width() < Fraction(1, 10 ** 6)
     d = _dense(p)
     assert (_eval_dense(d, iv.lower) < 0) != (_eval_dense(d, iv.upper) < 0)
@@ -281,7 +269,7 @@ def test_no_cliff_on_large_constant_term():
 def test_large_rational_root_found_exactly():
     x = P("x")
     p = (x * (10 ** 9 + 7) - (10 ** 12 + 39)) * (x * x - 2)
-    ivs = _within(5, lambda: _isolate_and_refine(p))
+    ivs = within(5, lambda: _isolate_and_refine(p))
     assert [iv.exact for iv in ivs] == [False, False, True]
     assert ivs[2].lower == Fraction(10 ** 12 + 39, 10 ** 9 + 7)
     for iv in ivs[:2]:

@@ -84,6 +84,9 @@ def test_intersection_membership_equivalence_random():
                          for _ in range(2)])
         m2 = ideal(RXY, [random_nonzero_polynomial(rng, RXY, deg=2, nterms=2, height=3)])
         inter = intersect(m1, m2)
+        # the elimination leaves the reduced basis, which Buchberger fixes
+        assert inter.is_groebner and inter.groebner() is inter
+        assert buchberger(inter).gens == inter.gens
         gb1, gb2, gbi = m1.groebner(), m2.groebner(), inter.groebner()
         for _ in range(6):
             # half the probes are engineered members of both ideals
