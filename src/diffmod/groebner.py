@@ -1,11 +1,14 @@
 """Groebner bases for ideals and submodules of free modules over Q[x].
 
-The engine works on "mvecs": dicts mapping (component, monomial) to a
-coefficient.  Buchberger's algorithm uses the normal pair-selection
-strategy with sugar tie-breaking; the coprime-lcm criterion is applied
-only when it is valid (ideal case, or both elements supported in one
-common component), the chain criterion whenever all three leading
-terms share a component.
+The engine works on "mvecs": dicts mapping a module term to a
+coefficient.  Outside the core the term is (component, monomial); inside,
+it is one int of an `orders.Packing`, whose int order is the term order,
+so a leading term is `max(work)`, a monomial shift is one addition and a
+divisor test is one subtraction and mask.  Buchberger's algorithm uses
+the normal pair-selection strategy with sugar tie-breaking; the
+coprime-lcm criterion is applied only when it is valid (ideal case, or
+both elements supported in one common component), the chain criterion
+whenever all three leading terms share a component.
 
 Inside the core every generator is a primitive integer mvec, and
 reduction is fraction-free: a step scales the working vector by an
@@ -15,8 +18,7 @@ rational arithmetic would give and the path taken is the same.  Only the
 final monic basis and the remainders handed to callers are converted
 back to Fractions.  Generators are indexed by the component of their
 leading term, which is where divisor search, pair forming and the chain
-criterion look; order keys of module monomials are computed once per
-computation.  `_nf` is the only reduction: one pass of it inter-reduces
+criterion look.  `_nf` is the only reduction: one pass of it inter-reduces
 the Groebner basis the pairs leave, and exact division is a normal form.
 
 Higher-level operations: syzygies and inhomogeneous solving (solution
@@ -40,10 +42,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import DomainError, StructuralError
-from .orders import (ModuleOrder, elim_order, mono_coprime, mono_deg,
-                     mono_div, mono_lcm, mono_mul, top_order)
+from .orders import (OVER_LIMIT, ModuleOrder, Packing, elim_order, mono_coprime,
+                     mono_lcm, mono_mul, top_order)
 from .poly import Polynomial, PolyVec
 
 
@@ -64,12 +67,11 @@ def mvec_to_vec(ring, j, mv):
     return PolyVec([Polynomial(ring, t) for t in polys])
 
 
-def _mv_axpy(f, coeff, mono, g):
-    """f -= coeff * x^mono * g, in place."""
+def _mv_axpy(f, coeff, shift, g):
+    """f -= coeff * x^q * g, in place, for packed mvecs; `shift` is x^q packed."""
     get = f.get
-    if any(mono):
-        g = {(i, mono_mul(mono, m)): c for (i, m), c in g.items()}
     for key, c in g.items():
+        key += shift
         v = get(key, 0) - coeff * c
         if v:
             f[key] = v
@@ -92,51 +94,35 @@ def _mv_primitive(f):
             Fraction(den, num))
 
 
-class _Keys(dict):
-    """Order keys of module monomials, keys[(comp, mono)], each computed
-    once.  One instance serves one computation, so it does not outlive it."""
-
-    __slots__ = ("morder",)
-
-    def __init__(self, morder):
-        super().__init__()
-        self.morder = morder
-
-    def __missing__(self, term):
-        k = self[term] = self.morder.key(*term)
-        return k
-
-
-def _keys(order):
-    """A key cache for `order`, which may be a ModuleOrder or already a cache."""
-    return order if isinstance(order, _Keys) else _Keys(order)
-
-
 class _Gen:
-    """A generator as a primitive integer mvec, with its leading term.
+    """A generator as a primitive integer mvec on packed terms, with its
+    leading term `lead` and that term's (comp, mono) `lt`.
 
     `rep`, when tracked, is rescaled with mv so that mv = sum rep * inputs
-    keeps holding; its values may be Fractions.
+    keeps holding; its values may be Fractions, its terms are checked.
     """
 
-    __slots__ = ("mv", "lt", "ltc", "sugar", "rep", "pure_comp")
+    __slots__ = ("mv", "lead", "lt", "ltc", "sugar", "rep", "pure_comp")
 
-    def __init__(self, mv, order, sugar=None, rep=None):
+    def __init__(self, mv, pk, sugar=None, rep=None):
         mv, s = _mv_primitive(mv)
         if rep and s != 1:
             rep = {k: v * s for k, v in rep.items()}
+        if rep and any(k & pk.guard for k in rep):
+            raise DomainError(OVER_LIMIT)
         self.mv = mv
-        self.lt = max(mv, key=_keys(order).__getitem__)
-        self.ltc = mv[self.lt]
-        self.sugar = sugar if sugar is not None else max(mono_deg(m) for (_, m) in mv)
+        self.lead = max(mv)
+        self.lt = pk.unpack(self.lead)
+        self.ltc = mv[self.lead]
+        self.sugar = sugar if sugar is not None else max(sum(pk.unpack(k)[1]) for k in mv)
         self.rep = rep
-        comps = {i for (i, _) in mv}
+        comps = set(map(pk.comp, mv))
         self.pure_comp = next(iter(comps)) if len(comps) == 1 else None
 
-    def monic(self):
-        """mv divided by its leading coefficient, as Fractions."""
+    def monic(self, pk):
+        """mv divided by its leading coefficient, as Fractions on (comp, mono)."""
         a = self.ltc
-        return {k: Fraction(c, a) for k, c in self.mv.items()}
+        return {pk.unpack(k): Fraction(c, a) for k, c in self.mv.items()}
 
 
 def _index(gens):
@@ -147,28 +133,28 @@ def _index(gens):
     return index
 
 
-def _nf(work, index, keys, rep=None, skip=None):
-    """Fraction-free normal form of the integer mvec `work` (consumed).
+def _nf(work, index, pk, rep=None, skip=None):
+    """Fraction-free normal form of the packed integer mvec `work` (consumed).
 
     Returns (rem, rep, scale): rem = scale * (the exact normal form), with
     `scale` a positive integer, and rep scaled alike.  A step with
     divisor g turns work into (a/d) * work - (c/d) * x^q * g, where a is
     g's leading coefficient, c the one of work and d = gcd(a, c) with the
     sign of a.  Terms moved to the remainder keep the scale of their
-    step and are brought up to the final one at the end.
+    step and are brought up to the final one at the end.  A leading term
+    with an exponent at the packing's limit raises DomainError.
     """
     done = []
     scale = 1
-    lead = keys.__getitem__
+    guard = pk.guard
     while work:
-        lt = max(work, key=lead)
+        lt = max(work)
+        if lt & guard:
+            raise DomainError(OVER_LIMIT)
         c = work[lt]
-        mono = lt[1]
-        for g in index.get(lt[0], ()):
-            if g is not skip:
-                q = mono_div(mono, g.lt[1])
-                if q is not None:
-                    break
+        for g in index.get(pk.comp(lt), ()):
+            if g is not skip and not (q := lt - g.lead) & guard:
+                break
         else:
             done.append((lt, c, scale))
             del work[lt]
@@ -190,12 +176,12 @@ def _nf(work, index, keys, rep=None, skip=None):
     return {lt: c * (scale // s) for lt, c, s in done}, rep, scale
 
 
-def _exact_nf(mv, index, keys, rep=None):
-    """Exact (remainder, rep') of a rational mvec; mutates nothing."""
+def _exact_nf(mv, index, pk, rep=None):
+    """Exact (remainder, rep') of a packed rational mvec; mutates nothing."""
     work, s = _mv_primitive(mv)
     if rep is not None:
         rep = {k: v * s for k, v in rep.items()}
-    rem, rep, scale = _nf(work, index, keys, rep)
+    rem, rep, scale = _nf(work, index, pk, rep)
     s *= scale
     rem = {k: c / s for k, c in rem.items()}
     if rep is not None:
@@ -203,18 +189,12 @@ def _exact_nf(mv, index, keys, rep=None):
     return rem, rep
 
 
-def _reduce(mv, gens, morder, rep=None):
-    """Normal form of mv against gens; mutates nothing, returns the exact
-    (remainder, rep')."""
-    return _exact_nf(mv, _index(gens), _keys(morder), rep)
-
-
-def _spair(gi, gj, morder, track):
+def _spair(gi, gj, pk, track):
     """lcm(a, b) times the monic S-vector, a and b the leading coefficients."""
     comp = gi.lt[0]
     l = mono_lcm(gi.lt[1], gj.lt[1])
-    qi = mono_div(l, gi.lt[1])
-    qj = mono_div(l, gj.lt[1])
+    lt = pk.pack(comp, l)
+    qi, qj = lt - gi.lead, lt - gj.lead
     a, b = gi.ltc, gj.ltc
     m = abs(a * b) // gcd(a, b)
     s = {}
@@ -227,44 +207,33 @@ def _spair(gi, gj, morder, track):
             _mv_axpy(rep, -(m // a), qi, gi.rep)
         if gj.rep:
             _mv_axpy(rep, m // b, qj, gj.rep)
-    sugar = max(gi.sugar + mono_deg(qi), gj.sugar + mono_deg(qj))
+    sugar = max(gi.sugar + sum(l) - sum(gi.lt[1]), gj.sugar + sum(l) - sum(gj.lt[1]))
     return s, rep, sugar, (comp, l)
 
 
-def _buchberger_core(mvs, order, track=False):
-    """Reduced Groebner basis of the mvecs, as _Gens sorted by leading term.
+def _buchberger_core(mvs, pk, track=False):
+    """Reduced Groebner basis of the mvecs packed by pk, as _Gens sorted by lead.
 
     The pair loop leaves a Groebner basis, which one inter-reduction pass
-    makes reduced.  Each _Gen holds a primitive integer mvec; `monic()`
+    makes reduced.  Each _Gen holds a primitive integer mvec; `monic(pk)`
     gives the basis element.  With `track`, each rep gives the element as
     a combination of the inputs, rep = {(input index, monomial): coefficient}.
     """
-    keys = _keys(order)
-    morder = keys.morder
-    gens = []
-    for idx, mv in enumerate(mvs):
-        if not mv:
-            continue
-        rep = None
-        if track:
-            zero_mono = (0,) * len(next(iter(mv))[1])
-            rep = {(idx, zero_mono): 1}
-        gens.append(_Gen(mv, keys, rep=rep))
+    zero = (0,) * pk.nvars
+    gens = [_Gen(mv, pk, rep={pk.pack(idx, zero): 1} if track else None)
+            for idx, mv in enumerate(mvs) if mv]
 
     heap = []
     pending = set()
     index = {}      # component -> live generators, in gens order
     positions = {}  # component -> their positions in gens
 
-    def lcm_of(a, b):
-        return mono_lcm(gens[a].lt[1], gens[b].lt[1])
-
     def push_pair(s, t):
+        # by the order on the lcm, then sugar: l's packed shift is in that order
         gi, gj = gens[s], gens[t]
-        l = lcm_of(s, t)
-        sugar = max(gi.sugar + mono_deg(l) - mono_deg(gi.lt[1]),
-                    gj.sugar + mono_deg(l) - mono_deg(gj.lt[1]))
-        heapq.heappush(heap, ((morder.mono_order.key(l), sugar, s, t), s, t))
+        l = mono_lcm(gi.lt[1], gj.lt[1])
+        sugar = max(gi.sugar + sum(l) - sum(gi.lt[1]), gj.sugar + sum(l) - sum(gj.lt[1]))
+        heapq.heappush(heap, (pk.shift(l), sugar, s, t))
         pending.add((s, t))
 
     def add_gen(t):
@@ -278,33 +247,27 @@ def _buchberger_core(mvs, order, track=False):
     for t in range(len(gens)):
         add_gen(t)
 
+    guard = pk.guard
     while heap:
-        _, s, t = heapq.heappop(heap)
+        l, _, s, t = heapq.heappop(heap)
         pending.discard((s, t))
         gi, gj = gens[s], gens[t]
-        l = lcm_of(s, t)
         # product criterion: only valid when both elements live in one
         # shared component (the ideal case); unsound for general vectors
         if (gi.pure_comp is not None and gi.pure_comp == gj.pure_comp
                 and mono_coprime(gi.lt[1], gj.lt[1])):
             continue
-        # chain criterion
-        skip = False
-        for r in positions[gi.lt[0]]:
-            if r == s or r == t or mono_div(l, gens[r].lt[1]) is None:
-                continue
-            p1 = (s, r) if s < r else (r, s)
-            p2 = (t, r) if t < r else (r, t)
-            if p1 not in pending and p2 not in pending:
-                skip = True
-                break
-        if skip:
+        # chain criterion: a third lead divides l, and neither of its pairs
+        # with s and t is still queued
+        if any(r != s and r != t and not (l - gens[r].lead) & guard
+               and (min(s, r), max(s, r)) not in pending
+               and (min(t, r), max(t, r)) not in pending for r in positions[gi.lt[0]]):
             continue
-        smv, srep, sugar, _ = _spair(gi, gj, keys, track)
-        rem, rrep, _ = _nf(smv, index, keys, srep)
+        smv, srep, sugar, _ = _spair(gi, gj, pk, track)
+        rem, rrep, _ = _nf(smv, index, pk, srep)
         if not rem:
             continue
-        gens.append(_Gen(rem, keys, sugar=sugar, rep=rrep))
+        gens.append(_Gen(rem, pk, sugar=sugar, rep=rrep))
         add_gen(len(gens) - 1)
 
     # one pass inter-reduces: the pairs left a Groebner basis, so an element
@@ -312,17 +275,14 @@ def _buchberger_core(mvs, order, track=False):
     # every other keeps its leading term, and with no leading term added a
     # tail reduced once stays reduced
     for k, g in enumerate(gens):
-        rem, rrep, _ = _nf(dict(g.mv), index, keys,
-                           dict(g.rep) if track else None, skip=g)
+        rem, rrep, _ = _nf(dict(g.mv), index, pk, dict(g.rep) if track else None, skip=g)
         bucket = index[g.lt[0]]
         if not rem:
             gens[k] = None
             bucket.remove(g)
         elif rem != g.mv:
-            gens[k] = bucket[bucket.index(g)] = _Gen(rem, keys, sugar=g.sugar, rep=rrep)
-    out = [g for g in gens if g is not None]
-    out.sort(key=lambda g: keys[g.lt])
-    return out
+            gens[k] = bucket[bucket.index(g)] = _Gen(rem, pk, sugar=g.sugar, rep=rrep)
+    return sorted((g for g in gens if g is not None), key=attrgetter("lead"))
 
 
 # -- public basis object -------------------------------------------------
@@ -355,11 +315,12 @@ class SubmoduleBasis:
         return self._gb
 
     def reducers(self):
-        """The generators as indexed integer _Gens, built on first use; a
-        basis never changes its generators, so every normal form shares them."""
+        """(the generators as indexed integer _Gens, their Packing), built on first
+        use; a basis never changes its generators, so every normal form shares them."""
         if self._reducers is None:
-            keys = _Keys(self.order)
-            self._reducers = _index([_Gen(vec_to_mvec(g), keys) for g in self.gens])
+            pk = Packing(self.order, self.ring.nvars)
+            self._reducers = _index([_Gen(pk.packed(vec_to_mvec(g)), pk)
+                                     for g in self.gens]), pk
         return self._reducers
 
     def polys(self):
@@ -382,10 +343,14 @@ def full_module(ring, j):
 # -- spec-level operations ------------------------------------------------
 
 def buchberger(basis):
-    """Reduced Groebner basis generating the same submodule."""
-    gens = _buchberger_core([vec_to_mvec(g) for g in basis.gens], basis.order)
-    vecs = [mvec_to_vec(basis.ring, basis.j, g.monic()) for g in gens]
-    return SubmoduleBasis(basis.ring, basis.j, vecs, order=basis.order, is_groebner=True)
+    """Reduced Groebner basis generating the same submodule; its normal
+    forms reduce by the core's own generators."""
+    pk = Packing(basis.order, basis.ring.nvars)
+    gens = _buchberger_core([pk.packed(vec_to_mvec(g)) for g in basis.gens], pk)
+    vecs = [mvec_to_vec(basis.ring, basis.j, g.monic(pk)) for g in gens]
+    out = SubmoduleBasis(basis.ring, basis.j, vecs, order=basis.order, is_groebner=True)
+    out._reducers = _index(gens), pk
+    return out
 
 
 def normal_form(f, basis):
@@ -394,8 +359,9 @@ def normal_form(f, basis):
     v = PolyVec([f]) if scalar else f
     if len(v) != basis.j:
         raise StructuralError("arity mismatch")
-    rem, _ = _exact_nf(vec_to_mvec(v), basis.reducers(), _Keys(basis.order))
-    out = mvec_to_vec(basis.ring, basis.j, rem)
+    index, pk = basis.reducers()
+    rem, _ = _exact_nf(pk.packed(vec_to_mvec(v)), index, pk)
+    out = mvec_to_vec(basis.ring, basis.j, {pk.unpack(t): c for t, c in rem.items()})
     return out[0] if scalar else out
 
 
@@ -431,18 +397,19 @@ def solve_inhomogeneous(gens, target):
     ring = gens[0].ring
     q = PolyVec(target)
     _check_ring(ring, [*gens, q])
-    morder = top_order()
-    gb = _buchberger_core([vec_to_mvec(g) for g in gens], morder, track=True)
-    rem, rep = _reduce(vec_to_mvec(q), gb, morder, rep={})
+    pk = Packing(top_order(), ring.nvars)
+    gb = _buchberger_core([pk.packed(vec_to_mvec(g)) for g in gens], pk, track=True)
+    rem, rep = _exact_nf(pk.packed(vec_to_mvec(q)), _index(gb), pk, rep={})
     if rem:
         return None
     # rem tracking gives q = -sum rep_k * gen_k
     sol = [Polynomial.zero(ring) for _ in gens]
-    for (k, m), c in rep.items():
+    for t, c in rep.items():
+        k, m = pk.unpack(t)
         sol[k] = sol[k] + Polynomial.monomial(ring, m, -c)
     acc = PolyVec([Polynomial.zero(ring)] * len(q))
-    for pk, g in zip(sol, gens):
-        acc = acc + g.scale(pk)
+    for p, g in zip(sol, gens):
+        acc = acc + g.scale(p)
     if acc != q:
         raise DomainError("internal: solution verification failed")
     return PolyVec(sol)
@@ -468,25 +435,38 @@ def _prune(rows, a_cols, b_cols, zero):
     combination of A columns that is zero in row r has no c-part:
     dropping row r and column c leaves every M_l the same.  Rows are taken
     in order, each with the unit column of fewest terms, the first on a
-    tie.  Returns (rows left, A mvecs, B mvecs) over the rows left.
+    tie, among the columns in touching[r], a superset of those reaching r.
+    Returns (rows left, A mvecs, B mvecs) over the rows left.
     """
     na = len(a_cols)
     cols = [dict(col) for col in a_cols + b_cols]
+    touching = [set() for _ in range(rows)]
+    for k, col in enumerate(cols):
+        for i, _ in col:
+            touching[i].add(k)
     kept = []
     for r in range(rows):
         unit = (r, zero)
-        units = [k for k in range(na) if unit in cols[k]
-                 and sum(key[0] == r for key in cols[k]) == 1]
+        parts = {k: [key for key in cols[k] if key[0] == r] for k in touching[r]}
+        units = [k for k, part in parts.items() if k < na and part == [unit]]
         if not units:
             kept.append(r)
             continue
         c = min(units, key=lambda k: (len(cols[k]), k))
         pivot, cols[c] = cols[c], {}
         a = Fraction(pivot.pop(unit))
-        pivot = {key: v / a for key, v in pivot.items()}
-        for col in cols:
-            for key in [key for key in col if key[0] == r]:
-                _mv_axpy(col, col.pop(key), key[1], pivot)
+        pivot = [(i, m, v / a) for (i, m), v in pivot.items()]
+        del parts[c]
+        for k, part in parts.items():
+            col = cols[k]
+            for _, mono in part:
+                v = col.pop((r, mono))
+                for i, m, p in pivot:
+                    key = (i, mono_mul(mono, m))
+                    col[key] = col.get(key, 0) - v * p
+                    if not col[key]:
+                        del col[key]
+                    touching[i].add(k)
     new = {r: i for i, r in enumerate(kept)}
     mvs = [{(new[i], m): v for (i, m), v in col.items()} for col in cols]
     return len(kept), mvs[:na], mvs[na:]
@@ -508,13 +488,13 @@ def _eliminate_tag(mvs, ring, j, comp_elim=0, drop=()):
     such elements the order is top-grevlex, so that is the basis's order.
     """
     nv = ring.nvars
-    morder = ModuleOrder(elim_order([*drop, nv]), "top", comp_elim=comp_elim)
+    pk = Packing(ModuleOrder(elim_order([*drop, nv]), "top", comp_elim=comp_elim), nv + 1)
     out = []
-    for g in _buchberger_core(mvs, morder):
-        if any(i < comp_elim or any(m[nv:]) or any(m[d] for d in drop)
-               for (i, m) in g.mv):
+    for g in _buchberger_core([pk.packed(mv) for mv in mvs], pk):
+        i, m = g.lt  # the order eliminates: if the lead is free of all three, all are
+        if i < comp_elim or any(m[nv:]) or any(m[d] for d in drop):
             continue
-        down = {(i - comp_elim, m[:nv]): c for (i, m), c in g.monic().items()}
+        down = {(i - comp_elim, m[:nv]): c for (i, m), c in g.monic(pk).items()}
         out.append(mvec_to_vec(ring, j, down))
     return out
 
@@ -550,12 +530,12 @@ def poly_exact_div(p, f):
     if f.is_zero():
         raise DomainError("division by zero polynomial")
     _check_ring(p.ring, [f])
-    keys = _Keys(top_order())
-    g = _Gen(vec_to_mvec(PolyVec([f])), keys, rep={(0, (0,) * p.ring.nvars): 1})
-    rem, rep = _exact_nf(vec_to_mvec(PolyVec([p])), {0: [g]}, keys, rep={})
+    pk = Packing(top_order(), p.ring.nvars)
+    g = _Gen(pk.packed(vec_to_mvec(PolyVec([f]))), pk, rep={pk.pack(0, (0,) * pk.nvars): 1})
+    rem, rep = _exact_nf(pk.packed(vec_to_mvec(PolyVec([p]))), {0: [g]}, pk, rep={})
     if rem:
         raise DomainError("polynomial division is not exact")
-    return Polynomial(p.ring, {m: -c for (_, m), c in rep.items()})
+    return Polynomial(p.ring, {pk.unpack(t)[1]: -c for t, c in rep.items()})
 
 
 def saturate(basis, f):
@@ -619,26 +599,27 @@ def critical_l_columns(rows, a_cols, b_cols, delta):
     if not tag:
         return 0, SubmoduleBasis(ring, kk, gens, is_groebner=True)
 
-    keys = _Keys(top_order())
-    col_a = _index(_buchberger_core(a_cols, keys))
+    pk = Packing(top_order(), ring.nvars)
+    col_a = _index(_buchberger_core([pk.packed(col) for col in a_cols], pk))
+    b_cols = [pk.packed(col) for col in b_cols]
 
     def residue(mv):
         # a positive multiple of the normal form modulo col(A), which is
         # all that the test for zero needs
-        return _nf(_mv_primitive(mv)[0], col_a, keys)[0]
+        return _nf(_mv_primitive(mv)[0], col_a, pk)[0]
 
     l0 = 0
     for g in gens:
         bg = {}
         for k, col in enumerate(b_cols):
             for m, c in g[k].terms.items():
-                _mv_axpy(bg, -c, m, col)
+                _mv_axpy(bg, -c, pk.shift(m), col)
         rem = residue(bg)
         l = 0
         while rem:
             nxt = {}
             for m, c in delta.terms.items():
-                _mv_axpy(nxt, -c, m, rem)
+                _mv_axpy(nxt, -c, pk.shift(m), rem)
             rem = residue(nxt)
             l += 1
         l0 = max(l0, l)

@@ -2,16 +2,21 @@
 
 Monomials are plain exponent tuples; a module monomial is a pair
 (component, exponent tuple).  Orders expose a `key` function so that
-``key(a) < key(b)`` iff a < b in the order; all comparisons in the
-engine go through these keys.
+``key(a) < key(b)`` iff a < b in the order; the Groebner core compares
+module monomials as the ints of a `Packing`, in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 
-from .errors import StructuralError
+from .errors import DomainError, StructuralError
+
+FIELD = 32                  # bits per packed exponent, the top one a guard
+LIMIT = 1 << (FIELD - 1)    # packed exponents stay below this
+FMASK = (1 << FIELD) - 1
+OVER_LIMIT = "exponent at or over the limit 2^31 = %d" % LIMIT
 
 
 def mono_mul(a, b):
@@ -27,10 +32,6 @@ def mono_div(a, b):
 
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
-
-
-def mono_deg(a):
-    return sum(a)
 
 
 def mono_coprime(a, b):
@@ -119,3 +120,61 @@ class ModuleOrder:
 
 def top_order(mono_order=None):
     return ModuleOrder(mono_order or grevlex_order(), "top")
+
+
+class Packing:
+    """Terms (comp, mono) of a ModuleOrder over nvars variables as ints whose
+    int order is the term order, for exponents below B = LIMIT.  From the
+    top bit: the flag comp < comp_elim; the order's linear form L(mono)
+    (lex: sum e_i B^(n-1-i); grevlex: deg B^n - sum e_i B^(i-1), i from 1;
+    block: the first block's grevlex form above the rest's); 2^FIELD - 1 -
+    comp; each e_i in the FIELD bits at FIELD*i, whose top bit, the guard,
+    is clear.  So a term times x^q is T + shift(q), and in one component b
+    divides a iff (T_a - T_b) & guard == 0, as a_i < b_i borrows into a
+    guard.  A sum of two terms overflows no field, so an exponent that
+    reaches B there shows in its guard.
+    """
+
+    def __init__(self, order, nvars):
+        mo = order.mono_order
+        if order.scheme != "top" or mo.kind not in ("lex", "grevlex", "block"):
+            raise StructuralError("cannot pack the terms of %r" % (order,))
+        if mo.kind == "lex":
+            w = [LIMIT ** (nvars - 1 - i) for i in range(nvars)]
+        else:  # grevlex is block with no first block
+            w = [0] * nvars
+            elim = mo.elim if mo.kind == "block" else ()
+            rest = [i for i in range(nvars) if i not in elim]
+            for vs in (rest, [i for i in range(nvars) if i in elim]):
+                above = (LIMIT - 1) * sum(w) + 1
+                for j, v in enumerate(vs):
+                    w[v] = (LIMIT ** len(vs) - LIMIT ** j) * above
+        self.nvars, self.comp_elim = nvars, order.comp_elim
+        self.fields = range(0, FIELD * nvars, FIELD)
+        self.cpos, lpos = FIELD * nvars, FIELD * (nvars + 1)
+        self.flag = 1 << (lpos + (2 * (LIMIT - 1) * sum(w)).bit_length())
+        self.units = [(wi << lpos) + (1 << f) for wi, f in zip(w, self.fields)]
+        self.guard = sum(LIMIT << f for f in self.fields)
+
+    def shift(self, mono):
+        """x^mono packed: what multiplying a term by it adds.  A monomial
+        shorter than nvars has exponent 0 in the variables it lacks."""
+        if max(mono, default=0) >= LIMIT:
+            raise DomainError(OVER_LIMIT)
+        return sum(map(mul, mono, self.units))
+
+    def pack(self, comp, mono):
+        return (comp < self.comp_elim) * self.flag + (FMASK - comp << self.cpos) + self.shift(mono)
+
+    def packed(self, mv):
+        """The mvec {(comp, mono): c} on packed terms."""
+        return {self.pack(i, m): c for (i, m), c in mv.items()}
+
+    def comp(self, t):
+        return FMASK - (t >> self.cpos & FMASK)
+
+    def unpack(self, t):
+        """(comp, mono) of a packed term, whose guards must be clear."""
+        if t & self.guard:
+            raise DomainError(OVER_LIMIT)
+        return self.comp(t), tuple(t >> f & FMASK for f in self.fields)

@@ -173,13 +173,13 @@ def _is_square(p):
 
 
 def _irreducible(qm):
-    """Whether qm is proved irreducible over Q without factoring.  With a
-    constant lead, p is primitive over Q[x], so by Gauss's lemma a proper
-    factor has positive w-degree: none for degree 1, and for a*w^2 + b*w + c
-    two linear ones exactly when b^2 - 4ac is a square in Q[x]."""
-    if qm.deg > 2 or not qm.lead.is_constant():
-        return False
+    """Whether qm is proved irreducible over Q without factoring.  A nonzero
+    constant among its coefficients in w makes p primitive over Q[x], so by
+    Gauss's lemma a proper factor has positive w-degree: none for degree 1,
+    and for a*w^2 + b*w + c two linear ones iff b^2 - 4ac is a square in Q[x]."""
     b, c = (coeff_in_var(qm.poly, qm.var, k) for k in (1, 0))
+    if qm.deg > 2 or all(p.is_zero() or not p.is_constant() for p in (qm.lead, b, c)):
+        return False
     return qm.deg == 1 or not _is_square(b * b - qm.lead * c * 4)
 
 
@@ -205,7 +205,7 @@ def select_component(members, witness):
             raise UnsupportedInputError(
                 "differentials at the witness are dependent; apply derivative "
                 "preprocessing or move the witness")
-        # sympy factors only degree >= 3, a non-constant lead or a square discriminant
+        # sympy factors only degree >= 3, no nonzero constant coefficient or a square discriminant
         factors = [(qm.poly, 1)] if _irreducible(qm) else factor_rational(qm.poly)
         hits = [(f, mult) for f, mult in factors if f.degree() >= 1 and f.evaluate(witness) == 0]
         if len(hits) != 1 or hits[0][1] != 1:

@@ -11,9 +11,10 @@ import pytest
 
 from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l, ideal,
                               module_equal, normal_form, syzygy_module,
-                              vec_to_mvec, _Gen, _reduce, _spair)
+                              vec_to_mvec, _Gen, _exact_nf, _index, _spair)
 from diffmod.operators import (LinearDiffOp, build_tangent_frame,
                                eliminate_x_derivatives, mclosure_poly_coeffs)
+from diffmod.orders import Packing
 from diffmod.pipeline import (algorithm_I, algorithm_II, algorithm_IV,
                               check_on_stratum, main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring, linear_change_of_vars, mat_inverse
@@ -92,11 +93,12 @@ def test_criterion_04_groebner_soundness():
         basis = ideal(ring, gens)
         gb = basis.groebner()
         ideals.append((gens, gb))
-        items = [_Gen(vec_to_mvec(g), gb.order) for g in gb.gens]
+        pk = Packing(gb.order, gb.ring.nvars)
+        items = [_Gen(pk.packed(vec_to_mvec(g)), pk) for g in gb.gens]
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                s, _, _, _ = _spair(items[i], items[j], gb.order, False)
-                rem, _ = _reduce(s, items, gb.order)
+                s, _, _, _ = _spair(items[i], items[j], pk, False)
+                rem, _ = _exact_nf(s, _index(items), pk)
                 checked_pairs += 1
                 if rem:
                     spair_failures += 1

@@ -5,6 +5,8 @@ import pytest
 
 from diffmod.cli import run
 
+from conftest import within
+
 
 def run_cli(capsys, args):
     code = run(args)
@@ -744,6 +746,26 @@ x1
     path = write(tmp_path, "sat.txt", text)
     code, out, err = run_cli(capsys, ["saturate", path])
     assert code == 3
+
+
+@pytest.mark.parametrize("polys", [
+    "x1^5000000000 - 1",
+    "x1^2147483648 - x2\nx1*x2 - 1",
+    "x1 - x2^2\nx1*x2^2147483646",
+], ids=["input-carries", "input-runs-on", "product-reaches"])
+def test_exponent_at_the_limit_is_a_domain_error(tmp_path, capsys, polys):
+    # the Groebner core packs each exponent in 31 bits: one at 2^31 in the
+    # input, or reached by a product while reducing, exits 3 instead of
+    # carrying into the next exponent or running on
+    path = write(tmp_path, "gb.txt", "[ring]\nx = x1, x2\norder = lex\n[polys]\n%s\n" % polys)
+    code, out, err = within(5, lambda: run_cli(capsys, ["gb", path]))
+    assert (code, out) == (3, "")
+    assert err == "error: exponent at or over the limit 2^31 = 2147483648\n"
+
+
+def test_exponent_just_under_the_limit_computes(tmp_path, capsys):
+    path = write(tmp_path, "gb.txt", "[ring]\nx = x1, x2\n[polys]\nx1^2147483647 - 1\n")
+    assert run_cli(capsys, ["gb", path]) == (0, "x1^2147483647 - 1\n", "")
 
 
 _OPERATOR_WITH_MAP = """

@@ -10,10 +10,10 @@ from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l,
                               eliminate, full_module, ideal, intersect,
                               module_equal, normal_form, poly_exact_div,
                               saturate, solve_inhomogeneous, syzygy_module,
-                              vec_to_mvec, _Gen, _reduce, _spair)
+                              vec_to_mvec, _Gen, _exact_nf, _index, _spair)
 from diffmod.manifest import parse_operator_manifest
-from diffmod.orders import (ModuleOrder, block_order, grevlex_order, lex_order,
-                            top_order)
+from diffmod.orders import (LIMIT, ModuleOrder, Packing, block_order, elim_order,
+                            grevlex_order, lex_order, mono_div, mono_mul, top_order)
 from diffmod.poly import Polynomial, PolyVec, Ring
 
 from conftest import (random_columns, random_nonzero_polynomial, random_polynomial,
@@ -379,19 +379,54 @@ def test_largest_stage_one_system_is_pruned_before_the_elimination(monkeypatch):
     assert stage_two and max(stage_two) <= 3
 
 
+def _random_term(rng, nvars, ncomps):
+    """(comp, mono), its exponents small or, now and then, up to the limit."""
+    top = LIMIT if rng.random() < 0.3 else 4
+    return rng.randrange(ncomps), tuple(rng.randrange(rng.choice([3, top]))
+                                        for _ in range(nvars))
+
+
+@pytest.mark.parametrize("order, nvars", [
+    (ModuleOrder(lex_order()), 3),
+    (ModuleOrder(grevlex_order()), 4),
+    (ModuleOrder(elim_order([1, 3]), "top", comp_elim=2), 4),
+    (ModuleOrder(grevlex_order(), "top", comp_elim=1), 3),
+], ids=["lex", "grevlex", "elim-tag-comp-elim", "grevlex-comp-elim"])
+def test_packed_terms_follow_the_order(order, nvars):
+    # the elimination order drops variable 1 and the tag variable 3, as
+    # _eliminate_tag builds it; components below comp_elim outweigh the rest
+    rng = random.Random(37)
+    pk = Packing(order, nvars)
+    for _ in range(2000):
+        (ca, a), (cb, b) = _random_term(rng, nvars, 4), _random_term(rng, nvars, 4)
+        ta, tb = pk.pack(ca, a), pk.pack(cb, b)
+        assert pk.unpack(ta) == (ca, a)
+        assert (ta < tb) == (order.key(ca, a) < order.key(cb, b))
+        assert (ta == tb) == ((ca, a) == (cb, b))
+        assert (not (ta - pk.pack(ca, b)) & pk.guard) == (mono_div(a, b) is not None)
+        product = ta + pk.shift(b)
+        if max(mono_mul(a, b)) < LIMIT:
+            assert product == pk.pack(ca, mono_mul(a, b))
+        else:
+            assert product & pk.guard
+            with pytest.raises(DomainError):
+                pk.unpack(product)
+
+
 def test_spair_normal_forms_vanish_random():
     rng = random.Random(23)
     for _ in range(30):
         gens = [random_nonzero_polynomial(rng, RXY, deg=3, nterms=3, height=5)
                 for _ in range(rng.randint(1, 3))]
         gb = buchberger(ideal(RXY, gens))
-        mvs = [_Gen(vec_to_mvec(g), gb.order) for g in gb.gens]
+        pk = Packing(gb.order, gb.ring.nvars)
+        mvs = [_Gen(pk.packed(vec_to_mvec(g)), pk) for g in gb.gens]
         for i in range(len(mvs)):
             for j in range(i + 1, len(mvs)):
                 if mvs[i].lt[0] != mvs[j].lt[0]:
                     continue
-                s, _, _, _ = _spair(mvs[i], mvs[j], gb.order, False)
-                rem, _ = _reduce(s, mvs, gb.order)
+                s, _, _, _ = _spair(mvs[i], mvs[j], pk, False)
+                rem, _ = _exact_nf(s, _index(mvs), pk)
                 assert not rem
 
 

@@ -129,21 +129,39 @@ def test_shipped_manifests_run_without_sympy():
                      for r in runs]
 
 
-@pytest.mark.parametrize("ann, witness, basis", [
-    ("y1^3 - x1^2*y1", "1, 1", "x1 - x2"),
-    ("x1*y1^2 - x1", "1, 1", "x2 - 1"),
-    ("x1*y1^2 - y1 - x1^3 + x1^2", "1, 1", "x1^3 - x1*x2^2 - x1^2 + x2"),
-    ("y1^2 - x1^2", "2, -2", "x1 + x2"),
-], ids=["cubic", "lead-splits", "lead-irreducible", "square-discriminant"])
-def test_annihilators_the_rule_cannot_decide_load_sympy(tmp_path, ann, witness, basis):
+def _vanish_loads_sympy(tmp_path, ann, witness):
+    """(whether `vanish` on one annihilator imported sympy, its stdout)."""
     path = tmp_path / "stratum.txt"
     path.write_text("[stratum]\nn = 1\nm = 1\np = 0\nanny 1 = %s\nwitness = %s\n"
                     % (ann, witness))
     code = ("import sys\nfrom diffmod.cli import run\n"
             "assert run(['vanish', %r]) == 0\n"
-            "sys.exit('sympy' not in sys.modules)\n" % str(path))
+            "sys.exit(10 + ('sympy' in sys.modules))\n" % str(path))
     status, out = _python(code)
-    assert status == 0, "the annihilator was not factored"
+    assert status in (10, 11), out
+    return status == 11, out
+
+
+@pytest.mark.parametrize("ann, witness, basis", [
+    ("y1^3 - x1^2*y1", "1, 1", "x1 - x2"),
+    ("x1*y1^2 - x1", "1, 1", "x2 - 1"),
+    ("y1^2 - x1^2", "2, -2", "x1 + x2"),
+], ids=["cubic", "lead-splits", "square-discriminant"])
+def test_annihilators_the_rule_cannot_decide_load_sympy(tmp_path, ann, witness, basis):
+    loaded, out = _vanish_loads_sympy(tmp_path, ann, witness)
+    assert loaded, "the annihilator was not factored"
+    assert out == basis + "\n"
+
+
+@pytest.mark.parametrize("ann, witness, basis", [
+    ("x1*y1^2 - y1 - x1^3 + x1^2", "1, 1", "x1^3 - x1*x2^2 - x1^2 + x2"),
+    ("x1*y1^2 - 1", "1, 1", "x1*x2^2 - 1"),
+], ids=["lead-irreducible", "constant-term"])
+def test_a_nonzero_constant_coefficient_decides_without_sympy(tmp_path, ann, witness, basis):
+    # the lead x1 is not constant, but b = -1 or c = -1 is, so p is
+    # primitive over Q[x1] and Gauss's lemma with the discriminant decides
+    loaded, out = _vanish_loads_sympy(tmp_path, ann, witness)
+    assert not loaded, "sympy was loaded"
     assert out == basis + "\n"
 
 
@@ -288,6 +306,28 @@ def test_groebner_reduces_through_one_normal_form():
     leading = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", None) == "leading"]
     assert not leading, leading
+
+
+def test_groebner_core_compares_packed_terms():
+    # the core orders terms as the ints of a Packing: no key cache, no max,
+    # min or sort keyed by an order, and reduction shifts by int addition
+    tree = _module_tree("groebner.py")
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"_Keys", "_keys"} & set(defs), sorted(defs)
+    # a key is a lambda or an attrgetter that names no order or key cache
+    keyed = [kw.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("max", "min", "sort", "sorted")
+             for kw in node.keywords if kw.arg == "key"]
+    bad = [ast.unparse(k) for k in keyed if not (isinstance(k, ast.Lambda) or (
+        isinstance(k, ast.Call) and getattr(k.func, "id", None) == "attrgetter"))
+        or "order" in ast.unparse(k) or "key" in ast.unparse(k)]
+    assert not bad, bad
+    for name in ("_nf", "_mv_axpy"):
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(defs[name]) if isinstance(node, ast.Call)}
+        assert not called & {"mono_mul", "mono_div"}, (name, called)
 
 
 def test_semialgebraic_sets_are_unions_of_clauses():

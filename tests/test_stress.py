@@ -8,7 +8,8 @@ from fractions import Fraction
 from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l, ideal,
                               intersect, module_equal, normal_form,
                               solve_inhomogeneous, syzygy_module, vec_to_mvec,
-                              _Gen, _reduce, _spair)
+                              _Gen, _exact_nf, _index, _spair)
+from diffmod.orders import Packing
 from diffmod.pipeline import (OperatorStratum, StratifiedOperator, main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring
 from diffmod.vanishing import Stratum
@@ -35,13 +36,14 @@ def test_module_groebner_spairs_reduce_to_zero_random():
             continue
         basis = SubmoduleBasis(RXY, j, gens)
         gb = buchberger(basis)
-        items = [_Gen(vec_to_mvec(g), gb.order) for g in gb.gens]
+        pk = Packing(gb.order, gb.ring.nvars)
+        items = [_Gen(pk.packed(vec_to_mvec(g)), pk) for g in gb.gens]
         for i in range(len(items)):
             for k in range(i + 1, len(items)):
                 if items[i].lt[0] != items[k].lt[0]:
                     continue
-                s, _, _, _ = _spair(items[i], items[k], gb.order, False)
-                rem, _ = _reduce(s, items, gb.order)
+                s, _, _, _ = _spair(items[i], items[k], pk, False)
+                rem, _ = _exact_nf(s, _index(items), pk)
                 assert not rem
 
 
