@@ -191,9 +191,7 @@ def _exact_nf(mv, index, pk, rep=None):
 
 def _spair(gi, gj, pk, track):
     """lcm(a, b) times the monic S-vector, a and b the leading coefficients."""
-    comp = gi.lt[0]
-    l = mono_lcm(gi.lt[1], gj.lt[1])
-    lt = pk.pack(comp, l)
+    lt = pk.pack(gi.lt[0], mono_lcm(gi.lt[1], gj.lt[1]))
     qi, qj = lt - gi.lead, lt - gj.lead
     a, b = gi.ltc, gj.ltc
     m = abs(a * b) // gcd(a, b)
@@ -207,8 +205,7 @@ def _spair(gi, gj, pk, track):
             _mv_axpy(rep, -(m // a), qi, gi.rep)
         if gj.rep:
             _mv_axpy(rep, m // b, qj, gj.rep)
-    sugar = max(gi.sugar + sum(l) - sum(gi.lt[1]), gj.sugar + sum(l) - sum(gj.lt[1]))
-    return s, rep, sugar, (comp, l)
+    return s, rep
 
 
 def _buchberger_core(mvs, pk, track=False):
@@ -249,7 +246,7 @@ def _buchberger_core(mvs, pk, track=False):
 
     guard = pk.guard
     while heap:
-        l, _, s, t = heapq.heappop(heap)
+        l, sugar, s, t = heapq.heappop(heap)
         pending.discard((s, t))
         gi, gj = gens[s], gens[t]
         # product criterion: only valid when both elements live in one
@@ -263,7 +260,7 @@ def _buchberger_core(mvs, pk, track=False):
                and (min(s, r), max(s, r)) not in pending
                and (min(t, r), max(t, r)) not in pending for r in positions[gi.lt[0]]):
             continue
-        smv, srep, sugar, _ = _spair(gi, gj, pk, track)
+        smv, srep = _spair(gi, gj, pk, track)
         rem, rrep, _ = _nf(smv, index, pk, srep)
         if not rem:
             continue

@@ -381,8 +381,7 @@ def section_map(sections):
     return out
 
 
-def need(smap, name, count=1):
-    if name not in smap or len(smap[name]) != count:
-        raise ManifestError("manifest needs exactly %d [%s] section(s)"
-                            % (count, name), 1)
-    return smap[name][0] if count == 1 else smap[name]
+def need(smap, name):
+    if len(smap.get(name, ())) != 1:
+        raise ManifestError("manifest needs exactly 1 [%s] section(s)" % name, 1)
+    return smap[name][0]

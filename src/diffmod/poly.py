@@ -370,89 +370,73 @@ class Polynomial:
 
     @classmethod
     def parse(cls, ring, s):
-        return _parse_poly(ring, s)
+        """The polynomial a text names: a signed sum of terms, each a
+        product of integers, ``num/den`` constants and ``name^e`` powers."""
+        s = s.strip()
+        if not s:
+            raise StructuralError("empty polynomial text")
+        pos = 0
+        tokens = []
+        while pos < len(s):
+            m = _TOKEN_RE.match(s, pos)
+            if not m:
+                raise StructuralError("bad character in polynomial at %r" % s[pos:pos + 10])
+            tokens.append(m.group(1))
+            pos = m.end()
+        tokens.append(None)
+
+        # one factor per pass; a term goes into `terms` at the + or - (or end) after it
+        terms = {}
+        t = tokens[0]
+        i = 1 if t in ("+", "-") else 0
+        coeff, exps = Fraction(-1 if t == "-" else 1), [0] * ring.nvars
+        while True:
+            t = tokens[i]
+            i += 1
+            if t is None:
+                raise StructuralError("unexpected end of polynomial")
+            if t.isdigit():
+                if tokens[i] == "/":
+                    d = tokens[i + 1]
+                    i += 2
+                    if d is None or not d.isdigit() or not int(d):
+                        raise StructuralError("bad rational constant")
+                    coeff *= Fraction(int(t), int(d))
+                else:
+                    coeff *= int(t)
+            elif _NAME_RE.match(t):
+                k = ring.index(t)
+                if tokens[i] == "^":
+                    e = tokens[i + 1]
+                    i += 2
+                    if e is None or not e.isdigit():
+                        raise StructuralError("bad exponent")
+                    exps[k] += int(e)
+                else:
+                    exps[k] += 1
+            else:
+                raise StructuralError("unexpected token %r" % t)
+            t = tokens[i]
+            i += 1
+            if t == "*":
+                continue
+            mono = tuple(exps)
+            v = terms.get(mono, 0) + coeff
+            if v:
+                terms[mono] = v
+            else:
+                terms.pop(mono, None)
+            if t is None:
+                return Polynomial(ring, terms)
+            if t not in ("+", "-"):
+                raise StructuralError("expected + or - at %r" % t)
+            coeff, exps = Fraction(-1 if t == "-" else 1), [0] * ring.nvars
 
     def __repr__(self):
         return "Polynomial(%s)" % self.text()
 
 
 _TOKEN_RE = re.compile(r"\s*(\^|\*|\+|-|/|[A-Za-z_][A-Za-z_0-9]*|\d+)")
-
-
-def _parse_poly(ring, s):
-    s = s.strip()
-    if not s:
-        raise StructuralError("empty polynomial text")
-    pos = 0
-    tokens = []
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m:
-            raise StructuralError("bad character in polynomial at %r" % s[pos:pos + 10])
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append(None)
-
-    idx = 0
-
-    def peek():
-        return tokens[idx]
-
-    def take():
-        nonlocal idx
-        t = tokens[idx]
-        idx += 1
-        return t
-
-    def parse_factor():
-        t = take()
-        if t is None:
-            raise StructuralError("unexpected end of polynomial")
-        if t.isdigit():
-            num = int(t)
-            if peek() == "/":
-                take()
-                d = take()
-                if d is None or not d.isdigit() or not int(d):
-                    raise StructuralError("bad rational constant")
-                return Polynomial.constant(ring, Fraction(num, int(d)))
-            return Polynomial.constant(ring, num)
-        if _NAME_RE.match(t):
-            p = Polynomial.variable(ring, t)
-            if peek() == "^":
-                take()
-                e = take()
-                if e is None or not e.isdigit():
-                    raise StructuralError("bad exponent")
-                p = p ** int(e)
-            return p
-        raise StructuralError("unexpected token %r" % t)
-
-    def parse_term():
-        p = parse_factor()
-        while peek() == "*":
-            take()
-            p = p * parse_factor()
-        return p
-
-    total = Polynomial.zero(ring)
-    sign = 1
-    t = peek()
-    if t in ("+", "-"):
-        take()
-        sign = -1 if t == "-" else 1
-    while True:
-        total = total + parse_term() * sign
-        t = peek()
-        if t is None:
-            return total
-        if t == "+":
-            sign = 1
-        elif t == "-":
-            sign = -1
-        else:
-            raise StructuralError("expected + or - at %r" % t)
-        take()
 
 
 class PolyVec:

@@ -97,7 +97,7 @@ def test_criterion_04_groebner_soundness():
         items = [_Gen(pk.packed(vec_to_mvec(g)), pk) for g in gb.gens]
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                s, _, _, _ = _spair(items[i], items[j], pk, False)
+                s, _ = _spair(items[i], items[j], pk, False)
                 rem, _ = _exact_nf(s, _index(items), pk)
                 checked_pairs += 1
                 if rem:

@@ -748,17 +748,24 @@ x1
     assert code == 3
 
 
-@pytest.mark.parametrize("polys", [
-    "x1^5000000000 - 1",
-    "x1^2147483648 - x2\nx1*x2 - 1",
-    "x1 - x2^2\nx1*x2^2147483646",
-], ids=["input-carries", "input-runs-on", "product-reaches"])
-def test_exponent_at_the_limit_is_a_domain_error(tmp_path, capsys, polys):
+_GB_LEX = "[ring]\nx = x1, x2\norder = lex\n[polys]\n%s\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("gb", _GB_LEX % "x1^5000000000 - 1"),
+    ("gb", _GB_LEX % "x1^2147483648 - x2\nx1*x2 - 1"),
+    ("gb", _GB_LEX % "x1 - x2^2\nx1*x2^2147483646"),
+    # the residue loop of critical_l shifts a term over the limit again before
+    # any decode: only the check on _nf's leading term stops it carrying
+    ("critical-l", "[ring]\nx = x1, x2\n[amatrix]\nx1^2147483647*x2\n[bmatrix]\nx1\n"
+                   "[delta]\nx1^1073741824\n"),
+], ids=["input-carries", "input-runs-on", "product-reaches", "residue-shifted-twice"])
+def test_exponent_at_the_limit_is_a_domain_error(tmp_path, capsys, command, text):
     # the Groebner core packs each exponent in 31 bits: one at 2^31 in the
     # input, or reached by a product while reducing, exits 3 instead of
     # carrying into the next exponent or running on
-    path = write(tmp_path, "gb.txt", "[ring]\nx = x1, x2\norder = lex\n[polys]\n%s\n" % polys)
-    code, out, err = within(5, lambda: run_cli(capsys, ["gb", path]))
+    path = write(tmp_path, "in.txt", text)
+    code, out, err = within(5, lambda: run_cli(capsys, [command, path]))
     assert (code, out) == (3, "")
     assert err == "error: exponent at or over the limit 2^31 = 2147483648\n"
 

@@ -155,3 +155,68 @@ def test_parse_rejects_garbage():
         Polynomial.parse(RXY, "x +* y")
     with pytest.raises(StructuralError):
         Polynomial.parse(RXY, "w + 1")
+
+
+@pytest.mark.parametrize("text, message", [
+    (" \t ", "empty polynomial text"),
+    ("x + 2%y - 1", "bad character in polynomial at '%y - 1'"),
+    ("x*y +", "unexpected end of polynomial"),
+    ("x - 1/0*y", "bad rational constant"),
+    ("x + 2/", "bad rational constant"),
+    ("x^y", "bad exponent"),
+    ("y*x^", "bad exponent"),
+    ("x + ^y", "unexpected token '^'"),
+    ("--x", "unexpected token '-'"),
+    ("x y", "expected + or - at 'y'"),
+    ("x^2^3", "expected + or - at '^'"),
+    ("x/2", "expected + or - at '/'"),
+    ("x + y*z1", "unknown variable 'z1'"),
+    # the first bad token decides
+    ("x*w - 1/0", "unknown variable 'w'"),
+    ("1/0*w + %", "bad character in polynomial at ' %'"),
+], ids=["empty", "bad-character", "end", "zero-denominator", "no-denominator", "name-exponent",
+        "no-exponent", "operator-for-factor", "two-signs", "no-operator", "power-of-power",
+        "divide-by", "unknown-variable", "first-error-wins", "tokens-before-terms"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(StructuralError) as exc:
+        Polynomial.parse(RXY, text)
+    assert str(exc.value) == message
+
+
+def _random_poly_text(rng, names):
+    # repeated monomials, cancelling terms, zero powers and num/den constants
+    def factor():
+        r = rng.random()
+        if r < 0.2:
+            return str(rng.randint(0, 9))
+        if r < 0.35:
+            return "%d/%d" % (rng.randint(0, 9), rng.randint(1, 9))
+        name = rng.choice(names)
+        return name if r < 0.6 else "%s^%d" % (name, rng.randint(0, 3))
+    terms = ["*".join(factor() for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.randint(1, 7))]
+    terms += [terms[rng.randrange(len(terms))] for _ in range(rng.randint(0, 2))]
+    rng.shuffle(terms)
+    text = rng.choice(["", "-", "+"]) + terms[0]
+    for t in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-"]) + t
+    return text
+
+
+def test_parse_matches_sympy_random():
+    import sympy
+    ring = Ring.make(nx=2, ny=1)
+    symbols = sympy.symbols(" ".join(ring.names))
+    rng = random.Random(29)
+    texts = ["x1*x1^2 - x1^3 + 0*y1", "-1/2*x1^0 + 3/6", "x2 - x2 + y1^0*y1"]
+    texts += [_random_poly_text(rng, ring.names) for _ in range(300)]
+    for text in texts:
+        theirs = sympy.Poly(sympy.sympify(text.replace("^", "**")), *symbols)
+        expected = {m: Fraction(int(c.p), int(c.q)) for m, c in theirs.terms() if c}
+        assert Polynomial.parse(ring, text).terms == expected, text
+
+
+def test_parse_keeps_huge_exponents():
+    # the Groebner core's entry check rejects exponents of 2^31 and over
+    f = Polynomial.parse(R2, "x1^5000000000*x2 - 1")
+    assert f.terms == {(5000000000, 1): 1, (0, 0): -1}

@@ -425,7 +425,7 @@ def test_spair_normal_forms_vanish_random():
             for j in range(i + 1, len(mvs)):
                 if mvs[i].lt[0] != mvs[j].lt[0]:
                     continue
-                s, _, _, _ = _spair(mvs[i], mvs[j], pk, False)
+                s, _ = _spair(mvs[i], mvs[j], pk, False)
                 rem, _ = _exact_nf(s, _index(mvs), pk)
                 assert not rem
 

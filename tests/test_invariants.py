@@ -364,3 +364,23 @@ def test_annihilator_powers_come_from_one_rule():
               and isinstance(node.op, ast.Pow) and node not in rule]
     assert not powers, powers
     assert not {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} & {"m_ord", "power"}
+
+
+def test_polynomial_text_is_read_by_one_term_loop():
+    # Polynomial.parse adds each term straight into one dict: no helper
+    # parser, no closures and no Polynomial built per factor or per term
+    tree = _module_tree("poly.py")
+    assert "_parse_poly" not in {node.name for node in ast.walk(tree)
+                                 if isinstance(node, ast.FunctionDef)}
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Polynomial")
+    parse = next(node for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "parse")
+    nested = [node.name for node in ast.walk(parse)
+              if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not parse]
+    assert not nested, nested
+    built = [node for node in ast.walk(parse) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[0] in ("Polynomial", "cls")]
+    returns = [node.value for node in ast.walk(parse) if isinstance(node, ast.Return)]
+    assert built == returns and ast.unparse(built[0]) == "Polynomial(ring, terms)", \
+        [ast.unparse(node) for node in built]

@@ -42,7 +42,7 @@ def test_module_groebner_spairs_reduce_to_zero_random():
             for k in range(i + 1, len(items)):
                 if items[i].lt[0] != items[k].lt[0]:
                     continue
-                s, _, _, _ = _spair(items[i], items[k], pk, False)
+                s, _ = _spair(items[i], items[k], pk, False)
                 rem, _ = _exact_nf(s, _index(items), pk)
                 assert not rem
 
