@@ -14,12 +14,17 @@ Inside the core every generator is a primitive integer mvec, and
 reduction is fraction-free: a step scales the working vector by an
 integer instead of dividing by a leading coefficient, so each
 intermediate generator is a positive rational multiple of the one exact
-rational arithmetic would give and the path taken is the same.  Only the
-final monic basis and the remainders handed to callers are converted
-back to Fractions.  Generators are indexed by the component of their
-leading term, which is where divisor search, pair forming and the chain
-criterion look.  `_nf` is the only reduction: one pass of it inter-reduces
-the Groebner basis the pairs leave, and exact division is a normal form.
+rational arithmetic would give and the path taken is the same.  A vector
+enters the core once, as `Packing.primitive` makes it a primitive integer
+mvec and a positive rational scale, and leaves it once, as `_to_vec`
+divides it by one rational: its leading coefficient for a basis element,
+the scale times `_nf`'s for a remainder.  The normal forms against one
+basis all reduce by its fixed reducers, so they share a memo of each
+leading term's first divisor.  Generators are indexed by the component
+of their leading term, which is where divisor search, pair forming and
+the chain criterion look.  `_nf` is the only reduction: one pass of it
+inter-reduces the Groebner basis the pairs leave, and exact division is
+a normal form.
 
 Higher-level operations: syzygies and inhomogeneous solving (solution
 modules of linear systems over the ring), intersection by the tag
@@ -45,8 +50,8 @@ from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import DomainError, StructuralError
-from .orders import (OVER_LIMIT, ModuleOrder, Packing, elim_order, mono_coprime,
-                     mono_lcm, mono_mul, top_order)
+from .orders import (OVER_LIMIT, ModuleOrder, elim_order, mono_coprime, mono_lcm,
+                     mono_mul, packing, top_order)
 from .poly import Polynomial, PolyVec
 
 
@@ -60,11 +65,20 @@ def vec_to_mvec(v):
     return mv
 
 
-def mvec_to_vec(ring, j, mv):
-    polys = [dict() for _ in range(j)]
-    for (i, m), c in mv.items():
-        polys[i][m] = c
-    return PolyVec([Polynomial(ring, t) for t in polys])
+def _to_vec(mv, d, pk, ring, j, first=0):
+    """The vector mv / d of j polynomials, for a packed integer mvec mv and a
+    rational d != 0, in one pass: component i of mv is entry i - first, and
+    monomials are cut to the ring's variables.  Every term comes through
+    the guard-checked `unpack` and every coefficient is a nonzero int, so
+    the polynomials skip the validating constructor."""
+    num, den = d.numerator, d.denominator
+    n = ring.nvars
+    polys = [{} for _ in range(j)]
+    unpack = pk.unpack
+    for t, c in mv.items():
+        i, m = unpack(t)
+        polys[i - first][m[:n]] = Fraction(c * den, num)
+    return PolyVec([Polynomial._of(ring, p) for p in polys])
 
 
 def _mv_axpy(f, coeff, shift, g):
@@ -119,11 +133,6 @@ class _Gen:
         comps = set(map(pk.comp, mv))
         self.pure_comp = next(iter(comps)) if len(comps) == 1 else None
 
-    def monic(self, pk):
-        """mv divided by its leading coefficient, as Fractions on (comp, mono)."""
-        a = self.ltc
-        return {pk.unpack(k): Fraction(c, a) for k, c in self.mv.items()}
-
 
 def _index(gens):
     """Component of the leading term -> the generators with it, in order."""
@@ -133,7 +142,7 @@ def _index(gens):
     return index
 
 
-def _nf(work, index, pk, rep=None, skip=None):
+def _nf(work, index, pk, rep=None, skip=None, memo=None):
     """Fraction-free normal form of the packed integer mvec `work` (consumed).
 
     Returns (rem, rep, scale): rem = scale * (the exact normal form), with
@@ -142,7 +151,9 @@ def _nf(work, index, pk, rep=None, skip=None):
     g's leading coefficient, c the one of work and d = gcd(a, c) with the
     sign of a.  Terms moved to the remainder keep the scale of their
     step and are brought up to the final one at the end.  A leading term
-    with an exponent at the packing's limit raises DomainError.
+    with an exponent at the packing's limit raises DomainError.  `memo`
+    maps a leading term to its divisor, the first in index order, or None;
+    it holds for every call with the same index and skip.
     """
     done = []
     scale = 1
@@ -152,13 +163,20 @@ def _nf(work, index, pk, rep=None, skip=None):
         if lt & guard:
             raise DomainError(OVER_LIMIT)
         c = work[lt]
-        for g in index.get(pk.comp(lt), ()):
-            if g is not skip and not (q := lt - g.lead) & guard:
-                break
-        else:
+        g = memo.get(lt, False) if memo is not None else False
+        if g is False:
+            for g in index.get(pk.comp(lt), ()):
+                if g is not skip and not (lt - g.lead) & guard:
+                    break
+            else:
+                g = None
+            if memo is not None:
+                memo[lt] = g
+        if g is None:
             done.append((lt, c, scale))
             del work[lt]
             continue
+        q = lt - g.lead
         a = g.ltc
         d = gcd(a, c) if a > 0 else -gcd(a, c)
         mult = a // d
@@ -174,19 +192,6 @@ def _nf(work, index, pk, rep=None, skip=None):
         if rep is not None and g.rep is not None:
             _mv_axpy(rep, f, q, g.rep)
     return {lt: c * (scale // s) for lt, c, s in done}, rep, scale
-
-
-def _exact_nf(mv, index, pk, rep=None):
-    """Exact (remainder, rep') of a packed rational mvec; mutates nothing."""
-    work, s = _mv_primitive(mv)
-    if rep is not None:
-        rep = {k: v * s for k, v in rep.items()}
-    rem, rep, scale = _nf(work, index, pk, rep)
-    s *= scale
-    rem = {k: c / s for k, c in rem.items()}
-    if rep is not None:
-        rep = {k: v / s for k, v in rep.items()}
-    return rem, rep
 
 
 def _spair(gi, gj, pk, track):
@@ -212,12 +217,12 @@ def _buchberger_core(mvs, pk, track=False):
     """Reduced Groebner basis of the mvecs packed by pk, as _Gens sorted by lead.
 
     The pair loop leaves a Groebner basis, which one inter-reduction pass
-    makes reduced.  Each _Gen holds a primitive integer mvec; `monic(pk)`
-    gives the basis element.  With `track`, each rep gives the element as
-    a combination of the inputs, rep = {(input index, monomial): coefficient}.
+    makes reduced.  Each _Gen holds a primitive integer mvec, which divided
+    by its `ltc` is the basis element.  With `track`, each rep gives the
+    element as a combination of the inputs, rep = {(input index, monomial):
+    coefficient}.
     """
-    zero = (0,) * pk.nvars
-    gens = [_Gen(mv, pk, rep={pk.pack(idx, zero): 1} if track else None)
+    gens = [_Gen(mv, pk, rep={pk.pack(idx, ()): 1} if track else None)
             for idx, mv in enumerate(mvs) if mv]
 
     heap = []
@@ -312,12 +317,13 @@ class SubmoduleBasis:
         return self._gb
 
     def reducers(self):
-        """(the generators as indexed integer _Gens, their Packing), built on first
-        use; a basis never changes its generators, so every normal form shares them."""
+        """(the generators as indexed integer _Gens, their Packing, a divisor
+        memo), built on first use.  A basis never changes its generators, so
+        every normal form shares them, and the memo: each leading term's
+        first divisor in index order, or None."""
         if self._reducers is None:
-            pk = Packing(self.order, self.ring.nvars)
-            self._reducers = _index([_Gen(pk.packed(vec_to_mvec(g)), pk)
-                                     for g in self.gens]), pk
+            pk = packing(self.order, self.ring.nvars)
+            self._reducers = _index([_Gen(pk.primitive(g)[0], pk) for g in self.gens]), pk, {}
         return self._reducers
 
     def polys(self):
@@ -342,11 +348,11 @@ def full_module(ring, j):
 def buchberger(basis):
     """Reduced Groebner basis generating the same submodule; its normal
     forms reduce by the core's own generators."""
-    pk = Packing(basis.order, basis.ring.nvars)
-    gens = _buchberger_core([pk.packed(vec_to_mvec(g)) for g in basis.gens], pk)
-    vecs = [mvec_to_vec(basis.ring, basis.j, g.monic(pk)) for g in gens]
+    pk = packing(basis.order, basis.ring.nvars)
+    gens = _buchberger_core([pk.primitive(g)[0] for g in basis.gens], pk)
+    vecs = [_to_vec(g.mv, g.ltc, pk, basis.ring, basis.j) for g in gens]
     out = SubmoduleBasis(basis.ring, basis.j, vecs, order=basis.order, is_groebner=True)
-    out._reducers = _index(gens), pk
+    out._reducers = _index(gens), pk, {}
     return out
 
 
@@ -356,9 +362,11 @@ def normal_form(f, basis):
     v = PolyVec([f]) if scalar else f
     if len(v) != basis.j:
         raise StructuralError("arity mismatch")
-    index, pk = basis.reducers()
-    rem, _ = _exact_nf(pk.packed(vec_to_mvec(v)), index, pk)
-    out = mvec_to_vec(basis.ring, basis.j, {pk.unpack(t): c for t, c in rem.items()})
+    _check_ring(basis.ring, [v])
+    index, pk, memo = basis.reducers()
+    work, s = pk.primitive(v)
+    rem, _, scale = _nf(work, index, pk, memo=memo)
+    out = _to_vec(rem, s * scale, pk, basis.ring, basis.j)
     return out[0] if scalar else out
 
 
@@ -394,16 +402,19 @@ def solve_inhomogeneous(gens, target):
     ring = gens[0].ring
     q = PolyVec(target)
     _check_ring(ring, [*gens, q])
-    pk = Packing(top_order(), ring.nvars)
-    gb = _buchberger_core([pk.packed(vec_to_mvec(g)) for g in gens], pk, track=True)
-    rem, rep = _exact_nf(pk.packed(vec_to_mvec(q)), _index(gb), pk, rep={})
+    pk = packing(top_order(), ring.nvars)
+    entries = [pk.primitive(g) for g in gens]
+    gb = _buchberger_core([p for p, _ in entries], pk, track=True)
+    work, s = pk.primitive(q)
+    rem, rep, scale = _nf(work, _index(gb), pk, rep={})
     if rem:
         return None
-    # rem tracking gives q = -sum rep_k * gen_k
-    sol = [Polynomial.zero(ring) for _ in gens]
+    # rem tracking gives scale * s * q = -sum rep_k * p_k, with p_k = s_k * gen_k
+    sol = [{} for _ in gens]
     for t, c in rep.items():
         k, m = pk.unpack(t)
-        sol[k] = sol[k] + Polynomial.monomial(ring, m, -c)
+        sol[k][m] = -c * entries[k][1] / (scale * s)
+    sol = [Polynomial(ring, terms) for terms in sol]
     acc = PolyVec([Polynomial.zero(ring)] * len(q))
     for p, g in zip(sol, gens):
         acc = acc + g.scale(p)
@@ -485,14 +496,13 @@ def _eliminate_tag(mvs, ring, j, comp_elim=0, drop=()):
     such elements the order is top-grevlex, so that is the basis's order.
     """
     nv = ring.nvars
-    pk = Packing(ModuleOrder(elim_order([*drop, nv]), "top", comp_elim=comp_elim), nv + 1)
+    pk = packing(ModuleOrder(elim_order([*drop, nv]), "top", comp_elim=comp_elim), nv + 1)
     out = []
     for g in _buchberger_core([pk.packed(mv) for mv in mvs], pk):
         i, m = g.lt  # the order eliminates: if the lead is free of all three, all are
         if i < comp_elim or any(m[nv:]) or any(m[d] for d in drop):
             continue
-        down = {(i - comp_elim, m[:nv]): c for (i, m), c in g.monic(pk).items()}
-        out.append(mvec_to_vec(ring, j, down))
+        out.append(_to_vec(g.mv, g.ltc, pk, ring, j, comp_elim))
     return out
 
 
@@ -527,12 +537,14 @@ def poly_exact_div(p, f):
     if f.is_zero():
         raise DomainError("division by zero polynomial")
     _check_ring(p.ring, [f])
-    pk = Packing(top_order(), p.ring.nvars)
-    g = _Gen(pk.packed(vec_to_mvec(PolyVec([f]))), pk, rep={pk.pack(0, (0,) * pk.nvars): 1})
-    rem, rep = _exact_nf(pk.packed(vec_to_mvec(PolyVec([p]))), {0: [g]}, pk, rep={})
+    pk = packing(top_order(), p.ring.nvars)
+    (fp, fs), (work, s) = pk.primitive(PolyVec([f])), pk.primitive(PolyVec([p]))
+    g = _Gen(fp, pk, rep={pk.pack(0, ()): 1})
+    rem, rep, scale = _nf(work, {0: [g]}, pk, rep={})
     if rem:
         raise DomainError("polynomial division is not exact")
-    return Polynomial(p.ring, {pk.unpack(t)[1]: -c for t, c in rep.items()})
+    # scale * s * p = -rep * fp, with fp = fs * f
+    return _to_vec(rep, -scale * s / fs, pk, p.ring, 1)[0]
 
 
 def saturate(basis, f):
@@ -596,14 +608,16 @@ def critical_l_columns(rows, a_cols, b_cols, delta):
     if not tag:
         return 0, SubmoduleBasis(ring, kk, gens, is_groebner=True)
 
-    pk = Packing(top_order(), ring.nvars)
+    pk = packing(top_order(), ring.nvars)
     col_a = _index(_buchberger_core([pk.packed(col) for col in a_cols], pk))
     b_cols = [pk.packed(col) for col in b_cols]
+
+    memo = {}
 
     def residue(mv):
         # a positive multiple of the normal form modulo col(A), which is
         # all that the test for zero needs
-        return _nf(_mv_primitive(mv)[0], col_a, pk)[0]
+        return _nf(_mv_primitive(mv)[0], col_a, pk, memo=memo)[0]
 
     l0 = 0
     for g in gens:

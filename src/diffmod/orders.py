@@ -9,7 +9,10 @@ module monomials as the ints of a `Packing`, in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, ge, mul, sub
+from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
+from operator import add, ge, mul, neg, sub
 
 from .errors import DomainError, StructuralError
 
@@ -39,7 +42,7 @@ def mono_coprime(a, b):
 
 
 def _grevlex_key(mono):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,9 @@ class Packing:
     is clear.  So a term times x^q is T + shift(q), and in one component b
     divides a iff (T_a - T_b) & guard == 0, as a_i < b_i borrows into a
     guard.  A sum of two terms overflows no field, so an exponent that
-    reaches B there shows in its guard.
+    reaches B there shows in its guard.  Build one through `packing`, which
+    keeps one per (order, nvars), so that `shift` and `unpack` memoise
+    across calls; each stores a value only once its limit check passed.
     """
 
     def __init__(self, order, nvars):
@@ -155,13 +160,17 @@ class Packing:
         self.flag = 1 << (lpos + (2 * (LIMIT - 1) * sum(w)).bit_length())
         self.units = [(wi << lpos) + (1 << f) for wi, f in zip(w, self.fields)]
         self.guard = sum(LIMIT << f for f in self.fields)
+        self._shifts, self._terms = {}, {}
 
     def shift(self, mono):
         """x^mono packed: what multiplying a term by it adds.  A monomial
         shorter than nvars has exponent 0 in the variables it lacks."""
-        if max(mono, default=0) >= LIMIT:
-            raise DomainError(OVER_LIMIT)
-        return sum(map(mul, mono, self.units))
+        s = self._shifts.get(mono)
+        if s is None:
+            if max(mono, default=0) >= LIMIT:
+                raise DomainError(OVER_LIMIT)
+            s = self._shifts[mono] = sum(map(mul, mono, self.units))
+        return s
 
     def pack(self, comp, mono):
         return (comp < self.comp_elim) * self.flag + (FMASK - comp << self.cpos) + self.shift(mono)
@@ -170,11 +179,38 @@ class Packing:
         """The mvec {(comp, mono): c} on packed terms."""
         return {self.pack(i, m): c for (i, m), c in mv.items()}
 
+    def primitive(self, vec):
+        """(p, s) for a vector f of polynomials: p the primitive integer mvec
+        on packed terms with p = s * f, s > 0 rational; ({}, 1) for f = 0."""
+        num, den = 0, 1
+        for poly in vec.comps:
+            for c in poly.terms.values():
+                num = gcd(num, c.numerator)
+                den = lcm(den, c.denominator)
+        if not num:
+            return {}, Fraction(1)
+        shift = self.shift
+        p = {}
+        for i, poly in enumerate(vec.comps):
+            base = self.pack(i, ())
+            for m, c in poly.terms.items():
+                p[base + shift(m)] = c.numerator * (den // c.denominator) // num
+        return p, Fraction(den, num)
+
     def comp(self, t):
         return FMASK - (t >> self.cpos & FMASK)
 
     def unpack(self, t):
         """(comp, mono) of a packed term, whose guards must be clear."""
-        if t & self.guard:
-            raise DomainError(OVER_LIMIT)
-        return self.comp(t), tuple(t >> f & FMASK for f in self.fields)
+        r = self._terms.get(t)
+        if r is None:
+            if t & self.guard:
+                raise DomainError(OVER_LIMIT)
+            r = self._terms[t] = self.comp(t), tuple(t >> f & FMASK for f in self.fields)
+        return r
+
+
+@cache
+def packing(order, nvars):
+    """The one Packing of (order, nvars)."""
+    return Packing(order, nvars)

@@ -99,6 +99,14 @@ class Polynomial:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _of(cls, ring, terms):
+        """The polynomial with `terms` as they are, unchecked: nonzero
+        Fractions on exponent tuples of length nvars, none negative."""
+        p = cls.__new__(cls)
+        p.ring, p.terms = ring, terms
+        return p
+
+    @classmethod
     def zero(cls, ring):
         return cls(ring, {})
 
@@ -183,17 +191,12 @@ class Polynomial:
                 terms[m] = v
             else:
                 terms.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.ring, p.terms = self.ring, terms
-        return p
+        return Polynomial._of(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.ring = self.ring
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial._of(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -208,10 +211,7 @@ class Polynomial:
             c = _frac(other)
             if c == 0:
                 return Polynomial.zero(self.ring)
-            p = Polynomial.__new__(Polynomial)
-            p.ring = self.ring
-            p.terms = {m: v * c for m, v in self.terms.items()}
-            return p
+            return Polynomial._of(self.ring, {m: v * c for m, v in self.terms.items()})
         self._check(other)
         out = {}
         for m1, c1 in self.terms.items():
@@ -222,9 +222,7 @@ class Polynomial:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.ring, p.terms = self.ring, out
-        return p
+        return Polynomial._of(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -351,21 +349,18 @@ class Polynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append("%s^%d" % (name, e))
-            mag = abs(c)
-            if mag.denominator == 1:
-                stem = str(mag.numerator)
-            else:
-                stem = "%d/%d" % (mag.numerator, mag.denominator)
-            if factors and mag == 1:
+            num, den = c.numerator, c.denominator
+            stem = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
+            if factors and stem == "1":
                 body = "*".join(factors)
             elif factors:
                 body = stem + "*" + "*".join(factors)
             else:
                 body = stem
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if num > 0 else "-" + body)
             else:
-                parts.append((" + " if c > 0 else " - ") + body)
+                parts.append((" + " if num > 0 else " - ") + body)
         return "".join(parts)
 
     @classmethod

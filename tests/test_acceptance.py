@@ -11,10 +11,10 @@ import pytest
 
 from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l, ideal,
                               module_equal, normal_form, syzygy_module,
-                              vec_to_mvec, _Gen, _exact_nf, _index, _spair)
+                              _Gen, _index, _nf, _spair)
 from diffmod.operators import (LinearDiffOp, build_tangent_frame,
                                eliminate_x_derivatives, mclosure_poly_coeffs)
-from diffmod.orders import Packing
+from diffmod.orders import packing
 from diffmod.pipeline import (algorithm_I, algorithm_II, algorithm_IV,
                               check_on_stratum, main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring, linear_change_of_vars, mat_inverse
@@ -93,12 +93,12 @@ def test_criterion_04_groebner_soundness():
         basis = ideal(ring, gens)
         gb = basis.groebner()
         ideals.append((gens, gb))
-        pk = Packing(gb.order, gb.ring.nvars)
-        items = [_Gen(pk.packed(vec_to_mvec(g)), pk) for g in gb.gens]
+        pk = packing(gb.order, gb.ring.nvars)
+        items = [_Gen(pk.primitive(g)[0], pk) for g in gb.gens]
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
                 s, _ = _spair(items[i], items[j], pk, False)
-                rem, _ = _exact_nf(s, _index(items), pk)
+                rem = _nf(s, _index(items), pk)[0]
                 checked_pairs += 1
                 if rem:
                     spair_failures += 1

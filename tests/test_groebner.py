@@ -10,10 +10,10 @@ from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l,
                               eliminate, full_module, ideal, intersect,
                               module_equal, normal_form, poly_exact_div,
                               saturate, solve_inhomogeneous, syzygy_module,
-                              vec_to_mvec, _Gen, _exact_nf, _index, _spair)
+                              _Gen, _index, _nf, _spair)
 from diffmod.manifest import parse_operator_manifest
-from diffmod.orders import (LIMIT, ModuleOrder, Packing, block_order, elim_order,
-                            grevlex_order, lex_order, mono_div, mono_mul, top_order)
+from diffmod.orders import (LIMIT, ModuleOrder, block_order, elim_order, grevlex_order,
+                            lex_order, mono_div, mono_mul, packing, top_order)
 from diffmod.poly import Polynomial, PolyVec, Ring
 
 from conftest import (random_columns, random_nonzero_polynomial, random_polynomial,
@@ -111,7 +111,8 @@ def test_mixed_rings_are_rejected():
                  lambda: saturate(ideal(RXY, [x]), z),
                  lambda: critical_l([PolyVec([x])], [PolyVec([z])], x),
                  lambda: solve_inhomogeneous([PolyVec([x])], [z]),
-                 lambda: poly_exact_div(x, z)):
+                 lambda: poly_exact_div(x, z),
+                 lambda: normal_form(z, buchberger(ideal(RXY, [x])))):
         with pytest.raises(StructuralError, match="mixed rings in system"):
             call()
 
@@ -396,7 +397,7 @@ def test_packed_terms_follow_the_order(order, nvars):
     # the elimination order drops variable 1 and the tag variable 3, as
     # _eliminate_tag builds it; components below comp_elim outweigh the rest
     rng = random.Random(37)
-    pk = Packing(order, nvars)
+    pk = packing(order, nvars)
     for _ in range(2000):
         (ca, a), (cb, b) = _random_term(rng, nvars, 4), _random_term(rng, nvars, 4)
         ta, tb = pk.pack(ca, a), pk.pack(cb, b)
@@ -411,6 +412,16 @@ def test_packed_terms_follow_the_order(order, nvars):
             assert product & pk.guard
             with pytest.raises(DomainError):
                 pk.unpack(product)
+    # shift and unpack memoise only what passed the limit check, so an
+    # over-limit input raises on every call
+    small, top = (1,) * nvars, (LIMIT - 1,) + (0,) * (nvars - 1)
+    term = pk.pack(1, small)
+    assert pk.unpack(term) == (1, small) and pk.shift(top) == pk.shift(top)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            pk.shift((LIMIT,) + small[1:])
+        with pytest.raises(DomainError):
+            pk.unpack(term + pk.shift(top))
 
 
 def test_spair_normal_forms_vanish_random():
@@ -419,14 +430,14 @@ def test_spair_normal_forms_vanish_random():
         gens = [random_nonzero_polynomial(rng, RXY, deg=3, nterms=3, height=5)
                 for _ in range(rng.randint(1, 3))]
         gb = buchberger(ideal(RXY, gens))
-        pk = Packing(gb.order, gb.ring.nvars)
-        mvs = [_Gen(pk.packed(vec_to_mvec(g)), pk) for g in gb.gens]
+        pk = packing(gb.order, gb.ring.nvars)
+        mvs = [_Gen(pk.primitive(g)[0], pk) for g in gb.gens]
         for i in range(len(mvs)):
             for j in range(i + 1, len(mvs)):
                 if mvs[i].lt[0] != mvs[j].lt[0]:
                     continue
                 s, _ = _spair(mvs[i], mvs[j], pk, False)
-                rem, _ = _exact_nf(s, _index(mvs), pk)
+                rem = _nf(s, _index(mvs), pk)[0]
                 assert not rem
 
 
@@ -480,6 +491,40 @@ def test_reduced_basis_matches_sympy_groebner_random():
                                       for m, c in sympy.Poly(g, *gens).terms()})
                     for g in theirs.exprs]
             assert as_set(ours.polys()) == as_set(want)
+
+
+def test_normal_forms_do_not_depend_on_the_memo_or_read_order():
+    # a basis memoises each leading term's divisor across its normal forms;
+    # the queries read forward on one basis and backward on a second basis
+    # of the same input give the remainders sympy.reduced gives, each with
+    # the terms the validating constructor would keep
+    import sympy
+    ring = Ring.make(nx=3)
+    gens = sympy.symbols("x1 x2 x3")
+    rng = random.Random(2828)
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+            *(g ** e for g, e in zip(gens, m))) for m, c in p.terms.items()), sympy.Integer(0))
+
+    for _ in range(30):
+        polys = [random_nonzero_polynomial(rng, ring, deg=3, nterms=3, height=5)
+                 for _ in range(rng.randint(2, 3))]
+        queries = [sum((p * random_polynomial(rng, ring, deg=1, nterms=2, height=3)
+                        for p in polys), Polynomial.zero(ring)) if k % 2 == 0 else
+                   random_polynomial(rng, ring, deg=4, nterms=4, height=9) for k in range(10)]
+        first, second = buchberger(ideal(ring, polys)), buchberger(ideal(ring, polys))
+        forward = [normal_form(q, first) for q in queries]
+        backward = [normal_form(q, second) for q in reversed(queries)][::-1]
+        theirs = sympy.groebner([expr(p) for p in polys], *gens, order="grevlex", domain="QQ")
+        for q, out, back in zip(queries, forward, backward):
+            assert out == back
+            assert out.terms == Polynomial(ring, dict(out.terms)).terms
+            assert all(type(c) is Fraction for c in out.terms.values())
+            _, r = sympy.reduced(expr(q), list(theirs.exprs), *gens, order="grevlex",
+                                 domain="QQ")
+            assert out == Polynomial(ring, {m: Fraction(int(c.p), int(c.q))
+                                            for m, c in sympy.Poly(r, *gens).terms()})
 
 
 # Named systems, typed in: cyclic-4 and cyclic-5 (elementary cyclic sums

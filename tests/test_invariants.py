@@ -301,7 +301,7 @@ def test_groebner_reduces_through_one_normal_form():
     assert len(whiles) == 1 and ast.unparse(whiles[0].test) == "heap", whiles
     div = defs["poly_exact_div"]
     assert not [node for node in ast.walk(div) if isinstance(node, (ast.For, ast.While))]
-    assert "_exact_nf" in {node.func.id for node in ast.walk(div)
+    assert "_nf" in {node.func.id for node in ast.walk(div)
                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     leading = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", None) == "leading"]
@@ -384,3 +384,22 @@ def test_polynomial_text_is_read_by_one_term_loop():
     returns = [node.value for node in ast.walk(parse) if isinstance(node, ast.Return)]
     assert built == returns and ast.unparse(built[0]) == "Polynomial(ring, terms)", \
         [ast.unparse(node) for node in built]
+
+
+def test_groebner_core_has_one_packed_entry():
+    # every Packing comes from the cached constructor, one per (order, nvars),
+    # and a vector enters the core through Packing.primitive, not through a
+    # tuple-keyed mvec packed afterwards
+    for name in MODULES:
+        tree = _module_tree(name)
+        owners = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        built = [(name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Packing"
+                 and not (name == "orders.py" and owners.get(id(node)) == "packing")]
+        assert not built, built
+    composed = [node.lineno for node in ast.walk(_module_tree("groebner.py"))
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "packed"
+                and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "vec_to_mvec"
+                        for arg in node.args)]
+    assert not composed, composed

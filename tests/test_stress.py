@@ -7,9 +7,9 @@ from fractions import Fraction
 
 from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l, ideal,
                               intersect, module_equal, normal_form,
-                              solve_inhomogeneous, syzygy_module, vec_to_mvec,
-                              _Gen, _exact_nf, _index, _spair)
-from diffmod.orders import Packing
+                              solve_inhomogeneous, syzygy_module,
+                              _Gen, _index, _nf, _spair)
+from diffmod.orders import packing
 from diffmod.pipeline import (OperatorStratum, StratifiedOperator, main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring
 from diffmod.vanishing import Stratum
@@ -36,14 +36,14 @@ def test_module_groebner_spairs_reduce_to_zero_random():
             continue
         basis = SubmoduleBasis(RXY, j, gens)
         gb = buchberger(basis)
-        pk = Packing(gb.order, gb.ring.nvars)
-        items = [_Gen(pk.packed(vec_to_mvec(g)), pk) for g in gb.gens]
+        pk = packing(gb.order, gb.ring.nvars)
+        items = [_Gen(pk.primitive(g)[0], pk) for g in gb.gens]
         for i in range(len(items)):
             for k in range(i + 1, len(items)):
                 if items[i].lt[0] != items[k].lt[0]:
                     continue
                 s, _ = _spair(items[i], items[k], pk, False)
-                rem, _ = _exact_nf(s, _index(items), pk)
+                rem = _nf(s, _index(items), pk)[0]
                 assert not rem
 
 
