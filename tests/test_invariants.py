@@ -302,7 +302,7 @@ def test_groebner_reduces_through_one_normal_form():
     div = defs["poly_exact_div"]
     assert not [node for node in ast.walk(div) if isinstance(node, (ast.For, ast.While))]
     assert "_nf" in {node.func.id for node in ast.walk(div)
-                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     leading = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", None) == "leading"]
     assert not leading, leading
