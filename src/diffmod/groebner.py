@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter
 
 from .errors import DomainError, StructuralError
 from .orders import (OVER_LIMIT, ModuleOrder, elim_order, mono_coprime, mono_lcm,
-                     mono_mul, packing, top_order)
+                     mono_mul, mv_primitive, packing, top_order)
 from .poly import Polynomial, PolyVec
 
 
@@ -93,21 +93,6 @@ def _mv_axpy(f, coeff, shift, g):
             f.pop(key, None)
 
 
-def _mv_primitive(f):
-    """(p, s): p the primitive integer mvec with p = s * f, s > 0 rational."""
-    if not f:
-        return {}, Fraction(1)
-    num, den = 0, 1
-    for c in f.values():
-        num = gcd(num, c.numerator)
-        if c.denominator != 1:
-            den = lcm(den, c.denominator)
-    if den == 1:
-        return {k: c.numerator // num for k, c in f.items()}, Fraction(1, num)
-    return ({k: c.numerator * (den // c.denominator) // num for k, c in f.items()},
-            Fraction(den, num))
-
-
 class _Gen:
     """A generator as a primitive integer mvec on packed terms, with its
     leading term `lead` and that term's (comp, mono) `lt`.
@@ -119,7 +104,7 @@ class _Gen:
     __slots__ = ("mv", "lead", "lt", "ltc", "sugar", "rep", "pure_comp")
 
     def __init__(self, mv, pk, sugar=None, rep=None):
-        mv, s = _mv_primitive(mv)
+        mv, s = mv_primitive(mv)
         if rep and s != 1:
             rep = {k: v * s for k, v in rep.items()}
         if rep and any(k & pk.guard for k in rep):
@@ -612,12 +597,10 @@ def critical_l_columns(rows, a_cols, b_cols, delta):
     col_a = _index(_buchberger_core([pk.packed(col) for col in a_cols], pk))
     b_cols = [pk.packed(col) for col in b_cols]
 
-    memo = {}
-
     def residue(mv):
         # a positive multiple of the normal form modulo col(A), which is
         # all that the test for zero needs
-        return _nf(_mv_primitive(mv)[0], col_a, pk, memo=memo)[0]
+        return _nf(mv_primitive(mv)[0], col_a, pk)[0]
 
     l0 = 0
     for g in gens:

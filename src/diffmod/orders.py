@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, ge, mul, neg, sub
 
@@ -20,6 +20,7 @@ FIELD = 32                  # bits per packed exponent, the top one a guard
 LIMIT = 1 << (FIELD - 1)    # packed exponents stay below this
 FMASK = (1 << FIELD) - 1
 OVER_LIMIT = "exponent at or over the limit 2^31 = %d" % LIMIT
+MEMO = 1 << 10              # entries a Packing memo holds before it starts over
 
 
 def mono_mul(a, b):
@@ -39,6 +40,21 @@ def mono_lcm(a, b):
 
 def mono_coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def mv_primitive(f):
+    """(p, s): p the primitive integer mvec with p = s * f, s > 0 rational."""
+    if not f:
+        return {}, Fraction(1)
+    num, den = 0, 1
+    for c in f.values():
+        num = gcd(num, c.numerator)
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return {k: c.numerator // num for k, c in f.items()}, Fraction(1, num)
+    return ({k: c.numerator * (den // c.denominator) // num for k, c in f.items()},
+            Fraction(den, num))
 
 
 def _grevlex_key(mono):
@@ -137,7 +153,8 @@ class Packing:
     guard.  A sum of two terms overflows no field, so an exponent that
     reaches B there shows in its guard.  Build one through `packing`, which
     keeps one per (order, nvars), so that `shift` and `unpack` memoise
-    across calls; each stores a value only once its limit check passed.
+    across calls.  Each memo stores a value only once its limit check
+    passed, and empties when it reaches MEMO entries.
     """
 
     def __init__(self, order, nvars):
@@ -169,7 +186,8 @@ class Packing:
         if s is None:
             if max(mono, default=0) >= LIMIT:
                 raise DomainError(OVER_LIMIT)
-            s = self._shifts[mono] = sum(map(mul, mono, self.units))
+            s = sum(map(mul, mono, self.units))
+            _remember(self._shifts, mono, s)
         return s
 
     def pack(self, comp, mono):
@@ -180,22 +198,10 @@ class Packing:
         return {self.pack(i, m): c for (i, m), c in mv.items()}
 
     def primitive(self, vec):
-        """(p, s) for a vector f of polynomials: p the primitive integer mvec
-        on packed terms with p = s * f, s > 0 rational; ({}, 1) for f = 0."""
-        num, den = 0, 1
-        for poly in vec.comps:
-            for c in poly.terms.values():
-                num = gcd(num, c.numerator)
-                den = lcm(den, c.denominator)
-        if not num:
-            return {}, Fraction(1)
-        shift = self.shift
-        p = {}
-        for i, poly in enumerate(vec.comps):
-            base = self.pack(i, ())
-            for m, c in poly.terms.items():
-                p[base + shift(m)] = c.numerator * (den // c.denominator) // num
-        return p, Fraction(den, num)
+        """`mv_primitive` of the vector of polynomials `vec`, whose
+        component i is component i of the packed terms."""
+        return mv_primitive({self.pack(i, m): c for i, poly in enumerate(vec.comps)
+                             for m, c in poly.terms.items()})
 
     def comp(self, t):
         return FMASK - (t >> self.cpos & FMASK)
@@ -206,11 +212,19 @@ class Packing:
         if r is None:
             if t & self.guard:
                 raise DomainError(OVER_LIMIT)
-            r = self._terms[t] = self.comp(t), tuple(t >> f & FMASK for f in self.fields)
+            r = self.comp(t), tuple(t >> f & FMASK for f in self.fields)
+            _remember(self._terms, t, r)
         return r
 
 
-@cache
+def _remember(memo, key, value):
+    """memo[key] = value, emptying the memo first when it is full."""
+    if len(memo) >= MEMO:
+        memo.clear()
+    memo[key] = value
+
+
+@lru_cache(maxsize=16)
 def packing(order, nvars):
-    """The one Packing of (order, nvars)."""
+    """The one Packing of (order, nvars), among the 16 last asked for."""
     return Packing(order, nvars)

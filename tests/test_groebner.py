@@ -12,8 +12,9 @@ from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l,
                               saturate, solve_inhomogeneous, syzygy_module,
                               _Gen, _index, _nf, _spair)
 from diffmod.manifest import parse_operator_manifest
-from diffmod.orders import (LIMIT, ModuleOrder, block_order, elim_order, grevlex_order,
-                            lex_order, mono_div, mono_mul, packing, top_order)
+from diffmod.orders import (LIMIT, MEMO, ModuleOrder, block_order, elim_order,
+                            grevlex_order, lex_order, mono_div, mono_mul, packing,
+                            top_order)
 from diffmod.poly import Polynomial, PolyVec, Ring
 
 from conftest import (random_columns, random_nonzero_polynomial, random_polynomial,
@@ -422,6 +423,20 @@ def test_packed_terms_follow_the_order(order, nvars):
             pk.shift((LIMIT,) + small[1:])
         with pytest.raises(DomainError):
             pk.unpack(term + pk.shift(top))
+
+
+def test_packing_memos_stay_bounded():
+    # a long run of distinct monomials keeps at most MEMO of them per memo,
+    # and every value read after a memo emptied is still the right one
+    pk = packing(top_order(), 2)
+    monos = [(a, b) for a in range(3 * MEMO // 50) for b in range(50)]
+    for mono in monos:
+        pk.unpack(pk.pack(0, mono))
+    assert len(pk._shifts) <= MEMO and len(pk._terms) <= MEMO
+    for mono in monos[::97]:
+        assert pk.shift(mono) == mono[0] * pk.units[0] + mono[1] * pk.units[1]
+        assert pk.unpack(pk.pack(0, mono)) == (0, mono)
+    assert packing.cache_info().maxsize is not None
 
 
 def test_spair_normal_forms_vanish_random():
