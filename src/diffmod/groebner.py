@@ -97,16 +97,17 @@ class _Gen:
     """A generator as a primitive integer mvec on packed terms, with its
     leading term `lead` and that term's (comp, mono) `lt`.
 
-    `rep`, when tracked, is rescaled with mv so that mv = sum rep * inputs
-    keeps holding; its values may be Fractions, its terms are checked.
+    Unless flagged `primitive`, mv is made so and a tracked `rep` (values may
+    be Fractions, terms checked) rescaled alike: mv = sum rep * inputs holds.
     """
 
     __slots__ = ("mv", "lead", "lt", "ltc", "sugar", "rep", "pure_comp")
 
-    def __init__(self, mv, pk, sugar=None, rep=None):
-        mv, s = mv_primitive(mv)
-        if rep and s != 1:
-            rep = {k: v * s for k, v in rep.items()}
+    def __init__(self, mv, pk, sugar=None, rep=None, primitive=False):
+        if not primitive:
+            mv, s = mv_primitive(mv)
+            if rep and s != 1:
+                rep = {k: v * s for k, v in rep.items()}
         if rep and any(k & pk.guard for k in rep):
             raise DomainError(OVER_LIMIT)
         self.mv = mv
@@ -199,7 +200,7 @@ def _spair(gi, gj, pk, track):
 
 
 def _buchberger_core(mvs, pk, track=False):
-    """Reduced Groebner basis of the mvecs packed by pk, as _Gens sorted by lead.
+    """Reduced Groebner basis of the primitive mvecs packed by pk, as _Gens by lead.
 
     The pair loop leaves a Groebner basis, which one inter-reduction pass
     makes reduced.  Each _Gen holds a primitive integer mvec, which divided
@@ -207,7 +208,7 @@ def _buchberger_core(mvs, pk, track=False):
     element as a combination of the inputs, rep = {(input index, monomial):
     coefficient}.
     """
-    gens = [_Gen(mv, pk, rep={pk.pack(idx, ()): 1} if track else None)
+    gens = [_Gen(mv, pk, rep={pk.pack(idx, ()): 1} if track else None, primitive=True)
             for idx, mv in enumerate(mvs) if mv]
 
     heap = []
@@ -308,7 +309,8 @@ class SubmoduleBasis:
         first divisor in index order, or None."""
         if self._reducers is None:
             pk = packing(self.order, self.ring.nvars)
-            self._reducers = _index([_Gen(pk.primitive(g)[0], pk) for g in self.gens]), pk, {}
+            gens = [_Gen(pk.primitive(g)[0], pk, primitive=True) for g in self.gens]
+            self._reducers = _index(gens), pk, {}
         return self._reducers
 
     def polys(self):
@@ -483,7 +485,7 @@ def _eliminate_tag(mvs, ring, j, comp_elim=0, drop=()):
     nv = ring.nvars
     pk = packing(ModuleOrder(elim_order([*drop, nv]), "top", comp_elim=comp_elim), nv + 1)
     out = []
-    for g in _buchberger_core([pk.packed(mv) for mv in mvs], pk):
+    for g in _buchberger_core([mv_primitive(pk.packed(mv))[0] for mv in mvs], pk):
         i, m = g.lt  # the order eliminates: if the lead is free of all three, all are
         if i < comp_elim or any(m[nv:]) or any(m[d] for d in drop):
             continue
@@ -524,7 +526,7 @@ def poly_exact_div(p, f):
     _check_ring(p.ring, [f])
     pk = packing(top_order(), p.ring.nvars)
     (fp, fs), (work, s) = pk.primitive(PolyVec([f])), pk.primitive(PolyVec([p]))
-    g = _Gen(fp, pk, rep={pk.pack(0, ()): 1})
+    g = _Gen(fp, pk, rep={pk.pack(0, ()): 1}, primitive=True)
     rem, rep, scale = _nf(work, {0: [g]}, pk, rep={})
     if rem:
         raise DomainError("polynomial division is not exact")
@@ -594,7 +596,7 @@ def critical_l_columns(rows, a_cols, b_cols, delta):
         return 0, SubmoduleBasis(ring, kk, gens, is_groebner=True)
 
     pk = packing(top_order(), ring.nvars)
-    col_a = _index(_buchberger_core([pk.packed(col) for col in a_cols], pk))
+    col_a = _index(_buchberger_core([mv_primitive(pk.packed(c))[0] for c in a_cols], pk))
     b_cols = [pk.packed(col) for col in b_cols]
 
     def residue(mv):

@@ -46,7 +46,7 @@ from .operators import (build_tangent_frame, eliminate_x_derivatives,
 from .poly import Polynomial, PolyVec, Ring, mat_inverse
 from .quasimonic import (QuasiMonic, delta_of, reduce_by_tables,
                          remainder_tables)
-from .vanishing import Stratum, ambient_map, complexify, pull_back
+from .vanishing import Stratum, ambient_map, complexify, meet, pull_back
 
 
 @dataclass
@@ -350,11 +350,12 @@ def main_mclosure(sop, check=False):
     A true `check` switches on the exact certificate of
     `check_on_stratum`: after the intersection, each stratum checks its
     own stage-IV generators and the returned generators, pulled back
-    through its T^-1, against its vanishing ideal and lifted operator."""
+    through its T^-1, against its vanishing ideal and lifted operator.
+    Each distinct (stratum key, T) pair is met, by `meet`, and certified once."""
     amb = Ring.make(nx=sop.n)
     logs = []
     result = None
-    parts = {}   # stratum key -> ModuleResult, for this call only
+    parts, pulled = {}, {}   # key -> ModuleResult, (key, T) -> contribution
     checks = []
     for snum, os in enumerate(sop.strata):
         st = os.stratum
@@ -370,11 +371,11 @@ def main_mclosure(sop, check=False):
             parts[key] = algorithm_IV(st, op, vanishing)
         part = parts[key]
         logs.extend("s%d.%s" % (snum, line) for line in part.provenance)
-        if check:
+        seen = len(pulled)
+        result, contrib = meet(result, part.basis, amb, os.t_ambient, key, pulled)
+        if check and len(pulled) > seen:
             checks.append((os, op, vanishing, part.basis))
-        contrib = pull_back(part.basis, amb, os.t_ambient)
         _note(logs, "stratum_gens", len(contrib.gens))
-        result = contrib if result is None else intersect(result, contrib)
         _note(logs, "running_gens", len(result.gens))
     if result is None:
         result = full_module(amb, sop.j)

@@ -305,23 +305,22 @@ class Polynomial:
         ring = ring or (images[0].ring if images else self.ring)
         if len(images) != self.ring.nvars:
             raise StructuralError("need one image per variable")
-        result = Polynomial.zero(ring)
-        powcache = [{0: Polynomial.one(ring)} for _ in images]
+        out = {}   # the sum, added into in place as __add__ would
+        powers = [[Polynomial.one(ring)] for _ in images]
         for m, c in self.terms.items():
             term = Polynomial.constant(ring, c)
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                cache = powcache[i]
-                if e not in cache:
-                    base = max(k for k in cache if k <= e)
-                    p = cache[base]
-                    for k in range(base, e):
-                        p = p * images[i]
-                        cache[k + 1] = p
-                term = term * cache[e]
-            result = result + term
-        return result
+                if e:
+                    while len(powers[i]) <= e:
+                        powers[i].append(powers[i][-1] * images[i])
+                    term = term * powers[i][e]
+            for t, v in term.terms.items():
+                v = out.get(t, Fraction(0)) + v
+                if v:
+                    out[t] = v
+                else:
+                    out.pop(t, None)
+        return Polynomial._of(ring, out)
 
     def lift(self, ring, mapping=None):
         """Reinterpret in a larger ring; mapping sends old index -> new index."""

@@ -148,6 +148,18 @@ def pull_back(basis, ring, T):
     return SubmoduleBasis(ring, basis.j, gens)
 
 
+def meet(result, basis, ring, T, key, pulled):
+    """(result ∩ C, C) for C the `pull_back` of basis, made once per (key, T)
+    in `pulled`; a reduced `intersect` result met C already, so stays as is."""
+    pair = key, None if T is None else tuple(map(tuple, T))
+    contrib = pulled.get(pair)
+    if contrib is None:
+        contrib = pulled[pair] = pull_back(basis, ring, T)
+    elif result is not contrib:
+        return result, contrib
+    return (contrib if result is None else intersect(result, contrib)), contrib
+
+
 # -- component selection ------------------------------------------------------
 
 def _is_square(p):
@@ -297,8 +309,8 @@ def complexify(stratum, budget=20000):
 
 
 def vanishing_ideal(strata, budget=20000):
-    """Ideal of polynomials vanishing on a union of strata: the intersection
-    of the per-stratum ideals, each pulled back through its coordinate map."""
+    """Ideal of polynomials vanishing on a union of strata: each distinct
+    (stratum ideal, T) pair pulled back through T once and met by `meet`."""
     if not strata:
         raise StructuralError("no strata given")
     q = strata[0].ring.nvars
@@ -307,8 +319,9 @@ def vanishing_ideal(strata, budget=20000):
             raise StructuralError("strata live in different ambient dimensions")
     ring = Ring.make(nx=q)
 
-    result = None
+    result, pulled = None, {}
     for s in strata:
-        contrib = pull_back(complexify(s, budget=budget), ring, s.T)
-        result = contrib if result is None else intersect(result, contrib)
+        ideal_s = complexify(s, budget=budget)
+        key = s.ring.names, tuple(g.text() for g in ideal_s.gens)
+        result = meet(result, ideal_s, ring, s.T, key, pulled)[0]
     return result.groebner()

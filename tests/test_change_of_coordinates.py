@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from diffmod import pipeline, poly
+from diffmod import poly, vanishing
 from diffmod.groebner import SubmoduleBasis, module_equal
 from diffmod.manifest import parse_operator_manifest, parse_strata_manifest
 from diffmod.pipeline import main_mclosure
@@ -102,10 +102,12 @@ def test_pull_back_checks_its_map_once_per_call(monkeypatch):
 
 
 def test_mclosure_checks_each_map_once_per_pull_back(monkeypatch):
-    # main_mclosure on the shipped positive indicator pulls 11 stratum
-    # modules back through a T, each checked by one determinant
+    # main_mclosure on the shipped positive indicator pulls its stratum
+    # modules back through `meet`, once per distinct (stratum key, T) pair:
+    # 11 of its 12 strata carry a T, but only 5 distinct pairs with a T, and
+    # each pull-back checks its map by one determinant
     sop = parse_operator_manifest((MANIFESTS / "level_set_positive_indicator.txt").read_text())
     dets = _spy(monkeypatch, poly, "mat_det")
-    pulls = _spy(monkeypatch, pipeline, "pull_back")
+    pulls = _spy(monkeypatch, vanishing, "pull_back")
     main_mclosure(sop)
-    assert len([args for args in pulls if args[2] is not None]) == len(dets) == 11
+    assert len([args for args in pulls if args[2] is not None]) == len(dets) == 5

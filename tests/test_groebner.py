@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -447,6 +448,8 @@ def test_spair_normal_forms_vanish_random():
         gb = buchberger(ideal(RXY, gens))
         pk = packing(gb.order, gb.ring.nvars)
         mvs = [_Gen(pk.primitive(g)[0], pk) for g in gb.gens]
+        # the core's own generators, which the basis keeps, are primitive too
+        assert all(gcd(*g.mv.values()) == 1 for g in gb.reducers()[0].get(0, []))
         for i in range(len(mvs)):
             for j in range(i + 1, len(mvs)):
                 if mvs[i].lt[0] != mvs[j].lt[0]:

@@ -242,6 +242,29 @@ def test_ambient_maps_go_through_one_pull_back():
     assert "TriangularSystem" not in classes
 
 
+def test_strata_meet_through_one_helper():
+    # main_mclosure and vanishing_ideal pull a stratum's contribution back
+    # and intersect it only through vanishing.meet, which holds the rule
+    # of one pull-back and one meet per distinct (key, T) pair.  The only
+    # other pull_back is the certificate's, of the returned basis through
+    # T^-1, in main_mclosure's loop over its checks
+    defs = {node.name: node for name in ("pipeline.py", "vanishing.py")
+            for node in ast.walk(_module_tree(name)) if isinstance(node, ast.FunctionDef)}
+
+    def called(tree):
+        return [getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    assert {"pull_back", "intersect"} <= set(called(defs["meet"]))
+    for name in ("main_mclosure", "vanishing_ideal"):
+        calls = called(defs[name])
+        assert calls.count("meet") == 1 and "intersect" not in calls, name
+        assert calls.count("pull_back") == (name == "main_mclosure"), name
+    certify = [node for node in defs["main_mclosure"].body
+               if isinstance(node, ast.For) and "checks" in ast.unparse(node.iter)]
+    assert len(certify) == 1 and "pull_back" in called(certify[0])
+
+
 def test_x_rewrite_keys_by_multi_index():
     # the rewrite expands (Delta d_x)^a by X-counts, one item per k <= a,
     # not by 2^|a| choices, and X_j is frame.fields[j]: product runs only in

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from diffmod import groebner, pipeline
+from diffmod import vanishing as vanishing_mod
 from diffmod.errors import DomainError, StructuralError
 from diffmod.groebner import (SubmoduleBasis, full_module, ideal,
                               module_equal, normal_form)
@@ -456,16 +457,16 @@ def test_main_indicator_on_ray():
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
-def _counting(monkeypatch, name):
-    """Count the calls main_mclosure makes to pipeline.<name>."""
+def _counting(monkeypatch, name, module=pipeline):
+    """Count the calls main_mclosure makes to module.<name>."""
     calls = []
-    inner = getattr(pipeline, name)
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -475,12 +476,15 @@ def _positive_indicator():
 
 def test_main_computes_each_distinct_stratum_once(monkeypatch):
     # the four 2-D sheets share one stage-IV input, and so do the repeated
-    # 1-D branches: 12 strata, 5 distinct; each stratum is still checked
+    # 1-D branches: 12 strata, 5 distinct.  The certificate reads only what
+    # the stratum key and T fix, so each of the 6 distinct (key, T) pairs
+    # is checked once: every contribution that was pulled back is checked
     stage4 = _counting(monkeypatch, "algorithm_IV")
     vanishing = _counting(monkeypatch, "complexify")
     checks = _counting(monkeypatch, "check_on_stratum")
+    pulls = _counting(monkeypatch, "pull_back", vanishing_mod)
     main_mclosure(_positive_indicator(), check=True)
-    assert (len(stage4), len(vanishing), len(checks)) == (5, 12, 12)
+    assert (len(stage4), len(vanishing), len(checks)) == (5, 12, 6) == (5, 12, len(pulls))
 
 
 CROSSING_LINES = """
@@ -508,6 +512,50 @@ def test_main_no_sharing_across_different_vanishing_ideals(monkeypatch):
     res = main_mclosure(parse_operator_manifest(CROSSING_LINES))
     assert len(stage4) == 2
     assert [g.text() for g in res.basis.gens] == ["x1^4 - 2*x1^2*x2^2 + x2^4"]
+
+
+def meet_every_time(result, basis, ring, T, key, pulled):
+    """The rule before (stratum key, T) pairs were met once: every stratum
+    is pulled back, intersected and, with `check`, certified."""
+    contrib = pulled[len(pulled)] = vanishing_mod.pull_back(basis, ring, T)
+    return (contrib if result is None else vanishing_mod.intersect(result, contrib)), contrib
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+@pytest.mark.parametrize("listed", [(0, 4, 0), (0, 0, 4)], ids=["after-a-meet", "first-twice"])
+def test_main_meets_a_repeated_stratum_once(monkeypatch, listed, check):
+    # stratum 0 (a 2-D sheet) listed twice beside stratum 4 (a 1-D branch).
+    # A result out of `intersect` lies in every contribution it met, so a
+    # repeat after a meet changes nothing; a raw first contribution is
+    # still met with its repeat, which reduces it
+    sop = _positive_indicator()
+
+    def run(idx, rule=None):
+        with monkeypatch.context() as mp:
+            if rule is not None:
+                mp.setattr(pipeline, "meet", rule)
+            counts = [_counting(mp, "pull_back", vanishing_mod),
+                      _counting(mp, "intersect", vanishing_mod),
+                      _counting(mp, "check_on_stratum")]
+            res = main_mclosure(StratifiedOperator(
+                sop.n, sop.j, sop.k, [sop.strata[i] for i in idx]), check=check)
+        return res, [len(c) for c in counts]
+
+    twice, (pulls, meets, checks) = run(listed)
+    every, (pulls_every, meets_every, checks_every) = run(listed, meet_every_time)
+    once, (pulls_once, meets_once, checks_once) = run((0, 4))
+    texts = [[g.text() for g in r.basis.gens] for r in (twice, every, once)]
+    assert texts[0] == texts[1] == texts[2]
+    assert twice.provenance == every.provenance
+    assert pulls == pulls_once == pulls_every - 1 == 2
+    assert checks == checks_once == (2 if check else 0)
+    assert checks_every == (3 if check else 0)
+    if listed == (0, 4, 0):
+        assert meets == meets_once == meets_every - 1 == 1
+        assert twice.provenance[:len(once.provenance)] == once.provenance
+        assert twice.provenance[-1] == once.provenance[-1]
+    else:
+        assert meets == meets_every == meets_once + 1 == 2
 
 
 def test_main_basis_independent_of_stratum_order():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 from diffmod.errors import UnsupportedInputError, WitnessSearchError
 from diffmod.groebner import buchberger, ideal, module_equal, normal_form
+from diffmod.manifest import parse_strata_manifest
 from diffmod.poly import Polynomial, Ring
 from diffmod.realroots import SemialgebraicDescription, atom, desc_and
 from diffmod import vanishing
@@ -278,6 +280,55 @@ def test_vanishing_single_stratum_matches_complexify():
     amb = Ring.make(nx=2)
     out = vanishing_ideal([st])
     assert module_equal(out, ideal(amb, [P(amb, "x2 - x1^2")]))
+
+
+def _meet_every_time(result, basis, ring, T, key, pulled):
+    # the rule before (ideal, T) pairs were met once
+    contrib = vanishing.pull_back(basis, ring, T)
+    return (contrib if result is None else vanishing.intersect(result, contrib)), contrib
+
+
+@pytest.mark.parametrize("listed", [(0, 4, 0), (0, 0, 4)], ids=["after-a-meet", "first-twice"])
+def test_vanishing_ideal_meets_a_repeated_stratum_once(monkeypatch, listed):
+    # stratum 0 (a 2-D sheet) listed twice beside stratum 4 (a 1-D branch):
+    # a repeat after a meet is neither pulled back nor intersected again; a
+    # raw first contribution is still met with its repeat
+    path = Path(__file__).resolve().parent.parent / "manifests" / "level_set_positive_vanish.txt"
+    strata = parse_strata_manifest(path.read_text())
+
+    def run(idx, rule=None):
+        with monkeypatch.context() as mp:
+            if rule is not None:
+                mp.setattr(vanishing, "meet", rule)
+            calls = []
+            for name in ("pull_back", "intersect"):
+                def counted(*args, _inner=getattr(vanishing, name), _name=name):
+                    calls.append(_name)
+                    return _inner(*args)
+                mp.setattr(vanishing, name, counted)
+            out = vanishing_ideal([strata[i] for i in idx])
+        return [g.text() for g in out.gens], calls.count("pull_back"), calls.count("intersect")
+
+    twice, pulls, meets = run(listed)
+    every, pulls_every, meets_every = run(listed, _meet_every_time)
+    once, pulls_once, meets_once = run((0, 4))
+    assert twice == every == once
+    assert pulls == pulls_once == pulls_every - 1 == 2
+    if listed == (0, 4, 0):
+        assert meets == meets_once == meets_every - 1 == 1
+    else:
+        assert meets == meets_every == meets_once + 1 == 2
+
+
+def test_vanishing_ideal_keys_each_stratum_by_its_ideal():
+    # two strata over one ring with no T differ only in their ideals, so
+    # the second is met, not taken for a repeat of the first
+    ring = Ring.make(nx=1, ny=1)
+    a, b = (Stratum(n=1, m=1, p=0, ring=ring, anns_y=[P(ring, f)], witness=[1, 1])
+            for f in ("y1 - x1^2", "y1 - x1^3"))
+    amb = Ring.make(nx=2)
+    want = ideal(amb, [P(amb, "x2 - x1^2") * P(amb, "x2 - x1^3")])
+    assert module_equal(vanishing_ideal([a, b, a]), want)
 
 
 def test_vanishing_generators_vanish_on_samples():
