@@ -514,7 +514,7 @@ def test_main_no_sharing_across_different_vanishing_ideals(monkeypatch):
     assert [g.text() for g in res.basis.gens] == ["x1^4 - 2*x1^2*x2^2 + x2^4"]
 
 
-def meet_every_time(result, basis, ring, T, key, pulled):
+def _meet_every_time(result, basis, ring, T, key, pulled):
     """The rule before (stratum key, T) pairs were met once: every stratum
     is pulled back, intersected and, with `check`, certified."""
     contrib = pulled[len(pulled)] = vanishing_mod.pull_back(basis, ring, T)
@@ -542,7 +542,7 @@ def test_main_meets_a_repeated_stratum_once(monkeypatch, listed, check):
         return res, [len(c) for c in counts]
 
     twice, (pulls, meets, checks) = run(listed)
-    every, (pulls_every, meets_every, checks_every) = run(listed, meet_every_time)
+    every, (pulls_every, meets_every, checks_every) = run(listed, _meet_every_time)
     once, (pulls_once, meets_once, checks_once) = run((0, 4))
     texts = [[g.text() for g in r.basis.gens] for r in (twice, every, once)]
     assert texts[0] == texts[1] == texts[2]
