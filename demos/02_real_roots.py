@@ -7,10 +7,9 @@ Run:  python demos/02_real_roots.py
 from fractions import Fraction
 
 from diffmod import Polynomial, Ring
-from diffmod.realroots import (SemialgebraicDescription, atom,
-                               count_roots_between, desc_and,
+from diffmod.realroots import (SemialgebraicDescription, SignCondition,
                                find_witness_point, isolate_real_roots,
-                               refine_interval, sturm_chain_dense)
+                               sign_variations_at, sturm_chain_dense)
 
 ring = Ring(("x",), "x")
 parse = lambda s: Polynomial.parse(ring, s)
@@ -20,7 +19,8 @@ parse = lambda s: Polynomial.parse(ring, s)
 chain = sturm_chain_dense([Fraction(0), Fraction(-1), Fraction(0), Fraction(1)])
 print("Sturm chain of x^3 - x:", [[str(c) for c in link] for link in chain])
 for lo, hi in ((-2, 2), (0, 2), (Fraction(1, 2), 2)):
-    print("   roots in (%s, %s]:" % (lo, hi), count_roots_between(chain, lo, hi))
+    print("   roots in (%s, %s]:" % (lo, hi),
+          sign_variations_at(chain, lo) - sign_variations_at(chain, hi))
 print()
 
 # Isolation reports rational roots exactly and irrational ones as intervals
@@ -33,19 +33,20 @@ for text in ("x^2 - x", "x^2 - 2", "x^2 + 1", "x^3 - 2*x^2 - x + 2",
     print("roots of %-30s" % text, [str(iv) for iv in isolate_real_roots(q)])
 print()
 
-# Any isolating interval refines below a requested width by bisection,
+# Given a width, isolation refines each interval below it by bisection,
 # preserving the sign change.
-iv = [i for i in isolate_real_roots(parse("x^2 - 2")) if i.lower > 0][0]
-narrow = refine_interval(parse("x^2 - 2"), iv, Fraction(1, 10 ** 9))
+narrow = [i for i in isolate_real_roots(parse("x^2 - 2"), Fraction(1, 10 ** 9))
+          if i.lower > 0][0]
 print("sqrt(2) to width 1e-9:", narrow)
 print()
 
 # Witness search: a verified rational point in a semialgebraic set,
-# avoiding the zero sets of extra polynomials.
+# avoiding the zero sets of extra polynomials.  The set is a union of
+# clauses, here one clause of two sign conditions that must both hold.
 ring2 = Ring(("u", "v"), "xx")
 u = Polynomial.variable(ring2, "u")
 v = Polynomial.variable(ring2, "v")
 desc = SemialgebraicDescription(
-    desc_and(atom(u * u + v * v - 1, "<"), atom(u, ">")), 2)
+    ((SignCondition(u * u + v * v - 1, "<"), SignCondition(u, ">")),), 2)
 point = find_witness_point(desc, avoid=[u - v])
 print("point in the right half-disc off the diagonal:", point)

@@ -1,7 +1,8 @@
 """Solution modules of differential operators.
 
 Three levels of generality:
-  * polynomial coefficients on all of space (a linear-algebra recursion),
+  * polynomial coefficients on all of space (a linear-algebra recursion,
+    the reference the test suite checks the pipeline against),
   * operators on a graph stratum (tangent frames eliminate x-derivatives,
     division by annihilator powers bounds the degrees),
   * stratified semialgebraic coefficients (the indicator-function bridge:
@@ -17,11 +18,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from example1 import indicator_operator, negative_level_strata
+from oracle import mclosure_poly_coeffs
 
 from diffmod import Polynomial, Ring, ideal, module_equal
 from diffmod.operators import (LinearDiffOp, build_tangent_frame,
-                               eliminate_x_derivatives, mclosure_poly_coeffs)
-from diffmod.pipeline import algorithm_I, main_mclosure
+                               eliminate_x_derivatives)
+from diffmod.pipeline import graph_solution_module, main_mclosure
 from diffmod.vanishing import Stratum
 
 # Polynomial coefficients on R^1: L(f1, f2) = f1' - f2' forces P1 = P2.
@@ -36,9 +38,10 @@ print()
 ring = Ring.make(nx=1, ny=1)
 parab = Stratum(n=1, m=1, p=0, ring=ring,
                 anns_y=[Polynomial.parse(ring, "y1 - x1^2")], witness=[1, 1])
-res = algorithm_I(parab, LinearDiffOp(ring, 1, {((0, 1), 0): 1}))
-print("module of d_y on the parabola:", [g.text() for g in res.basis.gens])
-print("provenance:", "; ".join(res.provenance))
+logs = []
+basis = graph_solution_module(parab, LinearDiffOp(ring, 1, {((0, 1), 0): 1}), logs=logs)
+print("module of d_y on the parabola:", [g.text() for g in basis.gens])
+print("provenance:", "; ".join(logs))
 print()
 
 # Tangent frames rewrite x-derivatives into stratum-tangent fields.

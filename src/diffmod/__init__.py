@@ -8,7 +8,7 @@ from .errors import (DiffmodError, DomainError, ManifestError,
                      StructuralError, UnsupportedInputError,
                      WitnessSearchError)
 from .orders import (ModuleOrder, MonomialOrder, block_order, elim_order,
-                     grevlex_order, lex_order, mono_cmp, top_order)
+                     grevlex_order, lex_order, top_order)
 from .poly import (PolyVec, Polynomial, Ring, linear_change_of_vars,
                    mat_det, mat_inverse)
 from .groebner import (SubmoduleBasis, buchberger, critical_l,

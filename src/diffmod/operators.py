@@ -22,17 +22,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import perm, prod
+from math import comb, perm, prod
 
 from .errors import DomainError, StructuralError
-from .groebner import full_module, normal_form, syzygy_module
-from .poly import Polynomial, PolyVec, binom
+from .groebner import normal_form
+from .poly import Polynomial, PolyVec
 from .quasimonic import QuasiMonic
 from .vanishing import complexify
 
 
 def _multi_binom(b, g):
-    return prod(map(binom, b, g))
+    return prod(map(comb, b, g))
 
 
 def _sub_multis(beta):
@@ -79,9 +79,6 @@ class LinearDiffOp:
 
     def derivative_vars(self):
         return {idx for (alpha, _) in self.terms for idx, e in enumerate(alpha) if e}
-
-    def coeff(self, alpha, i):
-        return self.terms.get((tuple(alpha), i), Polynomial.zero(self.ring))
 
     def apply(self, vec):
         if len(vec) != self.ncomps:
@@ -159,46 +156,6 @@ class LinearDiffOp:
 
 def zero_op(ring, ncomps):
     return LinearDiffOp(ring, ncomps, {})
-
-
-def identity_component_op(ring, ncomps, i, coeff=None):
-    z = (0,) * ring.nvars
-    return LinearDiffOp(ring, ncomps, {(z, i): coeff if coeff is not None else 1})
-
-
-# -- module of vectors annihilated after arbitrary polynomial multiples ----
-
-def mclosure_poly_coeffs(op):
-    """Generators of {P : L(Q P) = 0 identically for all polynomials Q}.
-
-    Recursion on the order: the top-order layer contributes the linear
-    equations sum_i a_gamma^i P_i = 0, the divergence-form rewrite drops
-    the order, and the accumulated system is solved over the ring.
-    """
-    ring, n = op.ring, op.ncomps
-    cols = [[] for _ in range(n)]   # cols[i]: the coefficients of P_i
-    cur = op
-    while not cur.is_zero():
-        s = cur.order()
-        layer = sorted({alpha for (alpha, _) in cur.terms if sum(alpha) == s})
-        for alpha in layer:
-            for i, col in enumerate(cols):
-                col.append(cur.coeff(alpha, i))
-        if s == 0:
-            break
-        for alpha in layer:
-            for i in range(n):
-                a = cur.coeff(alpha, i)
-                if a.is_zero():
-                    continue
-                expand = LinearDiffOp(ring, 1, {(alpha, 0): 1}).compose(
-                    identity_component_op(ring, n, i, a))
-                cur = cur - expand
-        if not cur.is_zero() and cur.order() >= s:
-            raise DomainError("internal: divergence rewrite did not drop the order")
-    if not cols[0]:
-        return full_module(ring, n)
-    return syzygy_module([PolyVec(col) for col in cols])
 
 
 # -- tangent frames ---------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, ge, mul, neg, sub
+from operator import add, mul, neg
 
 from .errors import DomainError, StructuralError
 
@@ -25,13 +25,6 @@ MEMO = 1 << 10              # entries a Packing memo holds before it starts over
 
 def mono_mul(a, b):
     return tuple(map(add, a, b))
-
-
-def mono_div(a, b):
-    """a / b as a monomial, or None when b does not divide a."""
-    if all(map(ge, a, b)):
-        return tuple(map(sub, a, b))
-    return None
 
 
 def mono_lcm(a, b):
@@ -108,11 +101,6 @@ def block_order(split):
 def elim_order(indices):
     """Elimination order for an arbitrary variable subset."""
     return MonomialOrder("block", frozenset(indices))
-
-
-def mono_cmp(order, a, b):
-    """-1 / 0 / +1 comparison of two monomials under `order`."""
-    return order.cmp(a, b)
 
 
 @dataclass(frozen=True)

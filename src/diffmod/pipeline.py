@@ -215,14 +215,6 @@ def graph_solution_module(stratum, op, vanishing=None, logs=None):
     return module
 
 
-def algorithm_I(stratum, op, vanishing=None):
-    """Stage I as a public operation: strata without a z-block."""
-    if stratum.p != 0:
-        raise StructuralError("stage I expects a stratum without z-block")
-    logs = []
-    return ModuleResult(graph_solution_module(stratum, op, vanishing, logs), logs)
-
-
 def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     """Generators over the (x, y)-ring of the z-independent part of the
     stage-I module; equals stage I itself when the stratum has no z-block.
@@ -271,15 +263,6 @@ def _zfree_solution_module(stratum, op, vanishing=None, logs=None):
     _note(logs, "stage2_l", l0)
     _note(logs, "stage2_gens", len(module.gens))
     return module
-
-
-def algorithm_II(stratum, op, vanishing=None):
-    """Stage II as a public operation: strata with a z-block, operators
-    differentiating the y and z blocks only."""
-    if stratum.p < 1:
-        raise StructuralError("stage II expects a z-block")
-    logs = []
-    return ModuleResult(_zfree_solution_module(stratum, op, vanishing, logs), logs)
 
 
 def algorithm_IV(stratum, op, vanishing=None):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
 
 from .errors import DomainError, StructuralError
 from .orders import grevlex_order
@@ -462,11 +461,16 @@ class PolyVec:
     def is_zero(self):
         return all(p.is_zero() for p in self.comps)
 
+    def _pairs(self, other):
+        if len(other) != len(self):
+            raise StructuralError("vector length mismatch: %d vs %d" % (len(self), len(other)))
+        return zip(self.comps, other.comps)
+
     def __add__(self, other):
-        return PolyVec([a + b for a, b in zip(self.comps, other.comps)])
+        return PolyVec([a + b for a, b in self._pairs(other)])
 
     def __sub__(self, other):
-        return PolyVec([a - b for a, b in zip(self.comps, other.comps)])
+        return PolyVec([a - b for a, b in self._pairs(other)])
 
     def __neg__(self):
         return PolyVec([-a for a in self.comps])
@@ -514,6 +518,8 @@ def mat_det(rows):
 
 def mat_inverse(rows):
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise StructuralError("matrix is not square")
     a = [[_frac(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
          for i, r in enumerate(rows)]
     for col in range(n):
@@ -551,7 +557,3 @@ def linear_change_of_vars(obj, T):
     if isinstance(obj, PolyVec):
         return PolyVec([p.substitute(images, ring) for p in obj.comps])
     return obj.substitute(images, ring)
-
-
-def binom(n, k):
-    return comb(n, k)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import floor, gcd
 
 from .errors import DomainError, StructuralError
@@ -63,29 +62,8 @@ def _neg(c):
     return [-a for a in c]
 
 
-def _rem(a, b):
-    a = list(a)
-    db, lb = _deg(b), b[-1]
-    while a and _deg(a) >= db:
-        f = a[-1] / lb
-        shift = _deg(a) - db
-        for i, bc in enumerate(b):
-            a[i + shift] -= f * bc
-        a = _strip(a)
-    return a
-
-
-def _gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _exact_div(a, b):
+def _divmod(a, b):
+    """(quotient, remainder) of a by b, by long division."""
     q = [Fraction(0)] * (max(_deg(a) - _deg(b), -1) + 1)
     a = list(a)
     db, lb = _deg(b), b[-1]
@@ -96,9 +74,24 @@ def _exact_div(a, b):
         for i, bc in enumerate(b):
             a[i + shift] -= f * bc
         a = _strip(a)
+    return _strip(q), a
+
+
+def _gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _divmod(a, b)[1]
     if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def _exact_div(a, b):
+    q, r = _divmod(a, b)
+    if r:
         raise DomainError("inexact univariate division")
-    return _strip(q)
+    return q
 
 
 def _squarefree(c):
@@ -141,7 +134,7 @@ def sturm_chain_dense(c):
     if not chain[1]:
         chain.pop()
     while len(chain) >= 2 and chain[-1]:
-        r = _neg(_rem(chain[-2], chain[-1]))
+        r = _neg(_divmod(chain[-2], chain[-1])[1])
         if not r:
             break
         chain.append(r)
@@ -155,11 +148,6 @@ def _variations(values):
 
 def sign_variations_at(chain, x):
     return _variations([_eval(f, x) for f in chain])
-
-
-def count_roots_between(chain, lo, hi):
-    """Distinct real roots in (lo, hi]."""
-    return sign_variations_at(chain, lo) - sign_variations_at(chain, hi)
 
 
 @dataclass(frozen=True)
@@ -282,15 +270,6 @@ def isolate_real_roots(p, width=None):
     return out
 
 
-def refine_interval(p, interval, width):
-    """Shrink an isolating interval below `width` by sign-change bisection."""
-    if width <= 0:
-        raise DomainError("refinement width must be positive")
-    if interval.exact:
-        return interval
-    return _refine(_prepare(p)[1], interval, width)
-
-
 # -- sign conditions and semialgebraic descriptions ----------------------
 
 @dataclass(frozen=True)
@@ -313,17 +292,6 @@ class SignCondition:
 
     def text(self):
         return "%s %s 0" % (self.poly.text(), self.rel)
-
-
-def atom(poly, rel):
-    """The one-clause description poly rel 0."""
-    return ((SignCondition(poly, rel),),)
-
-
-def desc_and(*parts):
-    """The conjunction of unions of clauses, as a union of clauses: one
-    clause per choice of a clause from each part."""
-    return tuple(sum(choice, ()) for choice in product(*parts))
 
 
 @dataclass(frozen=True)

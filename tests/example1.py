@@ -1,12 +1,13 @@
 """Shared fixtures: the level sets E_a = {x^2 - z y^2 = 0, z <= a} as strata,
 in both the plain form (for vanishing ideals) and the indicator-operator form
-(for the main algorithm)."""
+(for the main algorithm), and the clause builders that write their sets."""
 
 from fractions import Fraction
+from itertools import product
 
 from diffmod.pipeline import OperatorStratum, StratifiedOperator
 from diffmod.poly import Polynomial, Ring
-from diffmod.realroots import SemialgebraicDescription, atom, desc_and
+from diffmod.realroots import SemialgebraicDescription, SignCondition
 from diffmod.vanishing import Stratum
 
 AMBIENT = Ring.make(nx=3)   # (x, y, z) = (x1, x2, x3), the ring of vanishing_ideal
@@ -14,6 +15,17 @@ AMBIENT = Ring.make(nx=3)   # (x, y, z) = (x1, x2, x3), the ring of vanishing_id
 
 def P(ring, s):
     return Polynomial.parse(ring, s)
+
+
+def atom(poly, rel):
+    """The one-clause description poly rel 0."""
+    return ((SignCondition(poly, rel),),)
+
+
+def desc_and(*parts):
+    """The conjunction of unions of clauses, as a union of clauses: one
+    clause per choice of a clause from each part."""
+    return tuple(sum(choice, ()) for choice in product(*parts))
 
 
 def negative_level_strata():

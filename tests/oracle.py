@@ -1,15 +1,20 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-These do not call into the Groebner engine: membership and relation
-checks are exact sparse linear algebra over the rationals on a
-degree-bounded coefficient space, so they provide a second route to
-the same answers.
+The brute-force oracles do not call into the Groebner engine: membership
+and relation checks are exact sparse linear algebra over the rationals
+on a degree-bounded coefficient space, so they provide a second route to
+the same answers.  The polynomial-coefficient recursion is a second
+route to an operator's module on all of space, one that needs no
+stratum, tangent frame or critical exponent.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from diffmod.poly import Polynomial
+from diffmod.errors import DomainError
+from diffmod.groebner import full_module, syzygy_module
+from diffmod.operators import LinearDiffOp
+from diffmod.poly import Polynomial, PolyVec
 
 
 def monomials_up_to(nvars, deg):
@@ -180,3 +185,37 @@ def vec_membership_by_linear_algebra(v, gens, degcap):
             for comp in range(j):
                 total[comp] = total[comp] + gens[gi].comps[comp] * mult
     return all(total[comp] == v.comps[comp] for comp in range(j))
+
+
+def mclosure_poly_coeffs(op):
+    """Generators of {P : L(Q P) = 0 identically for all polynomials Q}.
+
+    Recursion on the order: the top-order layer contributes the linear
+    equations sum_i a_gamma^i P_i = 0, the divergence-form rewrite drops
+    the order, and the accumulated system is solved over the ring.
+    """
+    ring, n = op.ring, op.ncomps
+    zero, origin = Polynomial.zero(ring), (0,) * ring.nvars
+    cols = [[] for _ in range(n)]   # cols[i]: the coefficients of P_i
+    cur = op
+    while not cur.is_zero():
+        s = cur.order()
+        layer = sorted({alpha for (alpha, _) in cur.terms if sum(alpha) == s})
+        for alpha in layer:
+            for i, col in enumerate(cols):
+                col.append(cur.terms.get((alpha, i), zero))
+        if s == 0:
+            break
+        for alpha in layer:
+            for i in range(n):
+                a = cur.terms.get((alpha, i), zero)
+                if a.is_zero():
+                    continue
+                expand = LinearDiffOp(ring, 1, {(alpha, 0): 1}).compose(
+                    LinearDiffOp(ring, n, {(origin, i): a}))
+                cur = cur - expand
+        if not cur.is_zero() and cur.order() >= s:
+            raise DomainError("internal: divergence rewrite did not drop the order")
+    if not cols[0]:
+        return full_module(ring, n)
+    return syzygy_module([PolyVec(col) for col in cols])

@@ -13,19 +13,20 @@ from diffmod.groebner import (SubmoduleBasis, buchberger, critical_l, ideal,
                               module_equal, normal_form, syzygy_module,
                               _Gen, _index, _nf, _spair)
 from diffmod.operators import (LinearDiffOp, build_tangent_frame,
-                               eliminate_x_derivatives, mclosure_poly_coeffs)
+                               eliminate_x_derivatives)
 from diffmod.orders import packing
-from diffmod.pipeline import (algorithm_I, algorithm_II, algorithm_IV,
-                              check_on_stratum, main_mclosure)
+from diffmod.pipeline import (_zfree_solution_module, algorithm_IV,
+                              check_on_stratum, graph_solution_module,
+                              main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring, linear_change_of_vars, mat_inverse
 from diffmod.quasimonic import QuasiMonic, delta_of, reduce_mod_powers
-from diffmod.realroots import isolate_real_roots, refine_interval
+from diffmod.realroots import isolate_real_roots
 from diffmod.vanishing import Stratum, complexify, vanishing_ideal
 
 from conftest import random_columns, random_nonzero_polynomial, random_polynomial
 from example1 import (AMBIENT, indicator_operator, negative_level_strata,
                       positive_level_strata)
-from oracle import membership_by_linear_algebra
+from oracle import mclosure_poly_coeffs, membership_by_linear_algebra
 from test_realroots import scan_real_roots, _dense
 from diffmod.realroots import _squarefree, _to_integer
 
@@ -289,22 +290,24 @@ def test_criterion_08_pipeline_soundness_sampling():
     parab_z = Stratum(n=1, m=1, p=1, ring=ring2, anns_y=[P(ring2, "y1 - x1^2")],
                       anns_z=[P(ring2, "z1 - x1")], witness=[1, 1, 1])
 
+    stage4 = lambda st, op: algorithm_IV(st, op).basis
     cases = [
-        (parab, LinearDiffOp(ring1, 1, {((0, 1), 0): 1}), algorithm_I),
-        (parab, LinearDiffOp(ring1, 1, {((0, 0), 0): 1}), algorithm_I),
-        (sqrt_st, LinearDiffOp(ring1, 1, {((0, 1), 0): P(ring1, "y1")}), algorithm_I),
-        (parab_z, LinearDiffOp(ring2, 1, {((0, 0, 1), 0): 1}), algorithm_II),
+        (parab, LinearDiffOp(ring1, 1, {((0, 1), 0): 1}), graph_solution_module),
+        (parab, LinearDiffOp(ring1, 1, {((0, 0), 0): 1}), graph_solution_module),
+        (sqrt_st, LinearDiffOp(ring1, 1, {((0, 1), 0): P(ring1, "y1")}), graph_solution_module),
+        (parab_z, LinearDiffOp(ring2, 1, {((0, 0, 1), 0): 1}), _zfree_solution_module),
         (parab_z, LinearDiffOp(ring2, 1, {((0, 1, 0), 0): 1,
-                                          ((0, 0, 0), 0): P(ring2, "x1")}), algorithm_II),
-        (sqrt_st, LinearDiffOp(ring1, 1, {((1, 0), 0): 1}), algorithm_IV),
+                                          ((0, 0, 0), 0): P(ring2, "x1")}),
+         _zfree_solution_module),
+        (sqrt_st, LinearDiffOp(ring1, 1, {((1, 0), 0): 1}), stage4),
         (sqrt_st, LinearDiffOp(ring1, 1, {((1, 1), 0): P(ring1, "x1"),
-                                          ((0, 1), 0): 1}), algorithm_IV),
+                                          ((0, 1), 0): 1}), stage4),
     ]
     for st, op, algo in cases:
-        res = algo(st, op)
+        basis = algo(st, op)
         try:
-            check_on_stratum(st, op, res.basis)
-            checked += len(res.basis.gens)
+            check_on_stratum(st, op, basis)
+            checked += len(basis.gens)
         except Exception:
             failures += 1
 
@@ -404,8 +407,7 @@ def test_criterion_10_real_root_oracle():
                 disagreements += 1
 
     p = P(ring, "x1^2 - 2")
-    iv = [i for i in isolate_real_roots(p) if i.lower > 0][0]
-    narrow = refine_interval(p, iv, Fraction(1, 10 ** 6))
+    narrow = [i for i in isolate_real_roots(p, Fraction(1, 10 ** 6)) if i.lower > 0][0]
     refine_ok = (narrow.width() < Fraction(1, 10 ** 6)
                  and narrow.lower ** 2 < 2 < narrow.upper ** 2)
     elapsed = time.monotonic() - start

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from diffmod.errors import DomainError, StructuralError
-from diffmod.orders import grevlex_order, lex_order, mono_cmp
+from diffmod.orders import grevlex_order, lex_order
 from diffmod.poly import Polynomial, PolyVec, Ring, linear_change_of_vars, mat_inverse
 
 from conftest import random_polynomial
@@ -20,21 +20,21 @@ def P(ring, s):
 
 def test_mono_cmp_lex_first_exponent_dominates():
     # x^2 y vs x y^3
-    assert mono_cmp(lex_order(), (2, 1), (1, 3)) == 1
+    assert lex_order().cmp((2, 1), (1, 3)) == 1
 
 
 def test_mono_cmp_grevlex_degree_dominates():
-    assert mono_cmp(grevlex_order(), (2, 1), (1, 3)) == -1
+    assert grevlex_order().cmp((2, 1), (1, 3)) == -1
 
 
 def test_mono_cmp_reflexive():
     for order in (lex_order(), grevlex_order()):
-        assert mono_cmp(order, (3, 5), (3, 5)) == 0
+        assert order.cmp((3, 5), (3, 5)) == 0
 
 
 def test_mono_cmp_length_mismatch():
     with pytest.raises(StructuralError):
-        mono_cmp(lex_order(), (1,), (1, 2))
+        lex_order().cmp((1,), (1, 2))
 
 
 def test_poly_mul_difference_of_squares():
@@ -129,6 +129,12 @@ def test_leibniz_rule_random():
         assert (f * g).diff(i) == f.diff(i) * g + f * g.diff(i)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1], [2]], [[1, 0], [0]]])
+def test_mat_inverse_rejects_a_non_square_matrix(rows):
+    with pytest.raises(StructuralError, match="not square"):
+        mat_inverse(rows)
+
+
 def test_linear_change_inverse_roundtrip_random():
     rng = random.Random(17)
     count = 0
@@ -148,6 +154,17 @@ def test_polyvec_arith_and_units():
     w = v.scale(P(RXY, "x"))
     assert w[1] == P(RXY, "x") and w[0].is_zero()
     assert (v - v).is_zero()
+
+
+def test_polyvec_arith_rejects_a_length_mismatch():
+    # zip would silently drop the extra component
+    one = Polynomial.one(RXY)
+    long, short = PolyVec([one, one]), PolyVec([one])
+    for a, b in ((long, short), (short, long)):
+        with pytest.raises(StructuralError, match="length mismatch"):
+            a + b
+        with pytest.raises(StructuralError, match="length mismatch"):
+            a - b
 
 
 def test_parse_rejects_garbage():

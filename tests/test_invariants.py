@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -426,3 +427,29 @@ def test_groebner_core_has_one_packed_entry():
                 and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "vec_to_mvec"
                         for arg in node.args)]
     assert not composed, composed
+
+
+# library API that the package keeps although neither the pipeline nor
+# the CLI calls it, each with the reason it stays
+SRC_CALLER_EXEMPT = {
+    "module_equal": "the equality check of two modules, for users, demos and tests",
+}
+
+
+def _names(tree):
+    """The identifiers that the Name and Attribute nodes under `tree` use."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_public_function_has_a_src_caller():
+    # a public top-level function that nothing else in the package names is
+    # test-only code: it belongs in tests/, not in what the CLI ships.  An
+    # import is no reference, so an export from __init__.py does not count
+    trees = [_module_tree(name) for name in MODULES]
+    named = Counter(name for tree in trees for name in _names(tree))
+    uncalled = sorted(fn.name for tree in trees for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                      and named[fn.name] == _names(fn).count(fn.name)
+                      and fn.name not in SRC_CALLER_EXEMPT)
+    assert not uncalled, uncalled

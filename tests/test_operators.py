@@ -6,12 +6,12 @@ import pytest
 from diffmod.errors import DomainError, StructuralError
 from diffmod.groebner import SubmoduleBasis, module_equal
 from diffmod.operators import (LinearDiffOp, build_tangent_frame,
-                               eliminate_x_derivatives, lift_operator,
-                               mclosure_poly_coeffs, zero_op)
+                               eliminate_x_derivatives, lift_operator, zero_op)
 from diffmod.poly import Polynomial, PolyVec, Ring
 from diffmod.vanishing import Stratum
 
 from conftest import random_polynomial, random_vec
+from oracle import mclosure_poly_coeffs
 
 RXY = Ring.make(nx=1, ny=1)     # x1, y1
 

@@ -13,17 +13,18 @@ from diffmod.groebner import (SubmoduleBasis, full_module, ideal,
                               module_equal, normal_form)
 from diffmod.manifest import parse_operator_manifest
 from diffmod.operators import (LinearDiffOp, build_tangent_frame,
-                               eliminate_x_derivatives, lift_operator,
-                               mclosure_poly_coeffs, zero_op)
-from diffmod.pipeline import (OperatorStratum, StratifiedOperator, algorithm_I,
-                              algorithm_II, algorithm_IV, check_on_stratum,
-                              graph_solution_module, main_mclosure)
+                               eliminate_x_derivatives, lift_operator, zero_op)
+from diffmod.pipeline import (OperatorStratum, StratifiedOperator,
+                              _zfree_solution_module, algorithm_IV,
+                              check_on_stratum, graph_solution_module,
+                              main_mclosure)
 from diffmod.poly import Polynomial, PolyVec, Ring
-from diffmod.realroots import SemialgebraicDescription, atom, desc_and
+from diffmod.realroots import SemialgebraicDescription
 from diffmod.vanishing import Stratum, complexify
 
 from conftest import within
-from oracle import monomials_up_to, nullspace_sparse
+from example1 import atom
+from oracle import mclosure_poly_coeffs, monomials_up_to, nullspace_sparse
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.inputs import _positive_strata, indicator_manifest  # noqa: E402
@@ -100,42 +101,42 @@ def test_stage1_identity_operator_gives_vanishing_ideal():
     st = parabola_stratum()
     ring = st.ring
     L = LinearDiffOp(ring, 1, {((0, 0), 0): 1})
-    res = algorithm_I(st, L)
+    basis = graph_solution_module(st, L)
     want = ideal(ring, [P(ring, "y1 - x1^2")])
-    assert module_equal(res.basis, want)
+    assert module_equal(basis, want)
 
 
 def test_stage1_dy_squares_the_ideal():
     st = parabola_stratum()
     ring = st.ring
     L = LinearDiffOp(ring, 1, {((0, 1), 0): 1})
-    res = algorithm_I(st, L)
+    basis = graph_solution_module(st, L)
     want = ideal(ring, [P(ring, "y1 - x1^2") * P(ring, "y1 - x1^2")])
-    assert module_equal(res.basis, want)
-    assert_matches_brute_force(st, L, res.basis, degcap=4)
+    assert module_equal(basis, want)
+    assert_matches_brute_force(st, L, basis, degcap=4)
 
 
 def test_stage1_second_derivative_cubes_the_ideal():
     st = parabola_stratum()
     ring = st.ring
     L = LinearDiffOp(ring, 1, {((0, 2), 0): 1})
-    res = algorithm_I(st, L)
+    basis = graph_solution_module(st, L)
     want = ideal(ring, [P(ring, "y1 - x1^2") ** 3])
-    assert module_equal(res.basis, want)
-    assert_matches_brute_force(st, L, res.basis, degcap=6)
+    assert module_equal(basis, want)
+    assert_matches_brute_force(st, L, basis, degcap=6)
 
 
 def test_stage1_zero_operator_full_module():
     st = parabola_stratum()
-    res = algorithm_I(st, zero_op(st.ring, 2))
-    assert module_equal(res.basis, full_module(st.ring, 2))
+    basis = graph_solution_module(st, zero_op(st.ring, 2))
+    assert module_equal(basis, full_module(st.ring, 2))
 
 
 def test_stage1_rejects_x_derivatives():
     st = parabola_stratum()
     L = LinearDiffOp(st.ring, 1, {((1, 0), 0): 1})
     with pytest.raises(StructuralError):
-        algorithm_I(st, L)
+        graph_solution_module(st, L)
 
 
 def test_stage1_sqrt_branch_dy():
@@ -143,8 +144,8 @@ def test_stage1_sqrt_branch_dy():
     st = Stratum(n=1, m=1, p=0, ring=ring, anns_y=[P(ring, "y1^2 - x1")],
                  witness=[1, 1])
     L = LinearDiffOp(ring, 1, {((0, 1), 0): 1})
-    res = algorithm_I(st, L)
-    assert_matches_brute_force(st, L, res.basis, degcap=4)
+    basis = graph_solution_module(st, L)
+    assert_matches_brute_force(st, L, basis, degcap=4)
 
 
 def test_stage1_system_without_rows():
@@ -152,10 +153,11 @@ def test_stage1_system_without_rows():
     # so the stage-I system is born without rows and every candidate solves it
     st = parabola_stratum()
     L = LinearDiffOp(st.ring, 1, {((0, 1), 0): P(st.ring, "y1 - x1^2")})
-    res = algorithm_I(st, L)
-    assert module_equal(res.basis, full_module(st.ring, 1))
-    assert res.provenance == ["D1_box=[2]", "D2_box=[1]", "D3=2", "D4=[1]", "stage1_l=0",
-                              "stage1_coeff_gens=2", "final_l=0", "stage1_gens=1"]
+    logs = []
+    basis = graph_solution_module(st, L, logs=logs)
+    assert module_equal(basis, full_module(st.ring, 1))
+    assert logs == ["D1_box=[2]", "D2_box=[1]", "D3=2", "D4=[1]", "stage1_l=0",
+                    "stage1_coeff_gens=2", "final_l=0", "stage1_gens=1"]
 
 
 def non_constant_lead_stratum(p=0):
@@ -170,8 +172,8 @@ def non_constant_lead_stratum(p=0):
 def test_stage1_non_constant_lead_brute_force():
     st = non_constant_lead_stratum()
     L = LinearDiffOp(st.ring, 1, {((0, 1), 0): 1})
-    res = algorithm_I(st, L)
-    assert_matches_brute_force(st, L, res.basis, degcap=6)
+    basis = graph_solution_module(st, L)
+    assert_matches_brute_force(st, L, basis, degcap=6)
 
 
 def test_stage1_non_constant_lead_system_is_pruned(monkeypatch):
@@ -194,7 +196,7 @@ def test_stage1_non_constant_lead_system_is_pruned(monkeypatch):
 
     monkeypatch.setattr(pipeline, "critical_l_columns", spy_cl)
     monkeypatch.setattr(groebner, "_eliminate_tag", spy_elim)
-    within(5, lambda: algorithm_I(st, L, vanishing))
+    within(5, lambda: graph_solution_module(st, L, vanishing))
     assert systems[0] == [8, 4]
 
 
@@ -205,9 +207,10 @@ def test_stage1_undifferentiated_variable_takes_power_one():
     st = Stratum(n=1, m=2, p=0, ring=ring, witness=[1, 1, 1],
                  anns_y=[P(ring, "y1 - x1^2"), P(ring, "x1*y2 - 1")])
     L = LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "y2")})
-    res = algorithm_I(st, L)
-    assert res.provenance[0] == "D1_box=[1, 2]"
-    assert_matches_brute_force(st, L, res.basis, degcap=4)
+    logs = []
+    basis = graph_solution_module(st, L, logs=logs)
+    assert logs[0] == "D1_box=[1, 2]"
+    assert_matches_brute_force(st, L, basis, degcap=4)
 
 
 # -- stage II ----------------------------------------------------------------
@@ -217,30 +220,30 @@ def test_stage2_z_free_operator_matches_stage1():
     st1 = parabola_stratum(p=1)
     L0 = LinearDiffOp(st0.ring, 1, {((0, 1), 0): 1})
     L1 = LinearDiffOp(st1.ring, 1, {((0, 1, 0), 0): 1})
-    res0 = algorithm_I(st0, L0)
-    res1 = algorithm_II(st1, L1)
-    ring_xy = res1.basis.ring
+    basis0 = graph_solution_module(st0, L0)
+    basis1 = _zfree_solution_module(st1, L1)
+    ring_xy = basis1.ring
     lift0 = SubmoduleBasis(ring_xy, 1,
                            [PolyVec([p.lift(ring_xy, {0: 0, 1: 1}) for p in g.comps])
-                            for g in res0.basis.gens])
-    assert module_equal(res1.basis, lift0)
+                            for g in basis0.gens])
+    assert module_equal(basis1, lift0)
 
 
 def test_stage2_dz_operator_brute_force():
     st = parabola_stratum(p=1)
     ring = st.ring
     L = LinearDiffOp(ring, 1, {((0, 0, 1), 0): 1})   # d_z
-    res = algorithm_II(st, L)
+    basis = _zfree_solution_module(st, L)
     # z-free polynomials P with d_z(Q P) = 0 on V for all Q: P must vanish
     # on V, so the module is (y1 - x1^2) over the (x, y)-ring
-    ring_xy = res.basis.ring
+    ring_xy = basis.ring
     want = ideal(ring_xy, [Polynomial.parse(ring_xy, "y1 - x1^2")])
-    assert module_equal(res.basis, want)
+    assert module_equal(basis, want)
     # cross-check against the defining condition at low degree: candidates
     # over (x, y) only
     vecs, _ = module_slice_by_brute_force(st, L, degcap=3)
     zidx = ring.nvars - 1
-    gb = res.basis.groebner()
+    gb = basis.groebner()
     for v in vecs:
         if any(m[zidx] for p_ in v.comps for m in p_.terms):
             continue
@@ -251,8 +254,8 @@ def test_stage2_dz_operator_brute_force():
 
 def test_stage2_zero_operator():
     st = parabola_stratum(p=1)
-    res = algorithm_II(st, zero_op(st.ring, 1))
-    assert module_equal(res.basis, full_module(res.basis.ring, 1))
+    basis = _zfree_solution_module(st, zero_op(st.ring, 1))
+    assert module_equal(basis, full_module(basis.ring, 1))
 
 
 def test_stage2_mixed_leads_pinned():
@@ -262,9 +265,11 @@ def test_stage2_mixed_leads_pinned():
     # differentiate z1, so z1 - 1 enters both stages with power 1
     st = non_constant_lead_stratum(p=1)
     ring = st.ring
-    res = algorithm_II(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}))
-    assert [g[0].text() for g in res.basis.gens] == ["x1^2*y1^4 - 2*x1*y1^2 + 1"]
-    assert res.provenance == [
+    logs = []
+    basis = _zfree_solution_module(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}),
+                                   logs=logs)
+    assert [g[0].text() for g in basis.gens] == ["x1^2*y1^4 - 2*x1*y1^2 + 1"]
+    assert logs == [
         "D1_box=[1, 4]", "D2_box=[1, 2]", "D3=4", "D4=[2, 3]", "stage1_l=0",
         "stage1_coeff_gens=0", "final_l=0", "stage1_gens=2", "stage2_zbox=[1]",
         "stage2_D2=1", "stage2_l=0", "stage2_gens=1"]
@@ -277,9 +282,11 @@ def test_stage2_non_constant_z_lead_pinned():
     ring = Ring.make(nx=1, ny=1, nz=1)
     st = Stratum(n=1, m=1, p=1, ring=ring, anns_y=[P(ring, "y1^2 - x1")],
                  anns_z=[P(ring, "x1*z1 - 1")], witness=[1, 1, 1])
-    res = algorithm_II(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}))
-    assert [g[0].text() for g in res.basis.gens] == ["y1^4 - 2*x1*y1^2 + x1^2"]
-    assert res.provenance == [
+    logs = []
+    basis = _zfree_solution_module(st, LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "z1")}),
+                                   logs=logs)
+    assert [g[0].text() for g in basis.gens] == ["y1^4 - 2*x1*y1^2 + x1^2"]
+    assert logs == [
         "D1_box=[1, 4]", "D2_box=[1, 2]", "D3=4", "D4=[2, 3]", "stage1_l=0",
         "stage1_coeff_gens=0", "final_l=0", "stage1_gens=2", "stage2_zbox=[1]",
         "stage2_D2=1", "stage2_l=0", "stage2_gens=1"]
@@ -291,9 +298,9 @@ def test_stage4_no_x_derivatives_matches_stage2():
     st = parabola_stratum(p=1)
     ring = st.ring
     L = LinearDiffOp(ring, 1, {((0, 1, 0), 0): P(ring, "x1")})
-    a = algorithm_II(st, L)
+    a = _zfree_solution_module(st, L)
     b = algorithm_IV(st, L)
-    assert module_equal(a.basis, b.basis)
+    assert module_equal(a, b.basis)
 
 
 def test_stage4_identity_operator_gives_vanishing_ideal():

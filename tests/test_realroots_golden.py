@@ -1,7 +1,7 @@
 """Byte-for-byte pin of real-root isolation and refinement.
 
-About 300 seeded univariate polynomials go through isolate_real_roots
-and refine_interval(..., 1/10^6).  The families are rational linear
+About 300 seeded univariate polynomials go through isolate_real_roots,
+without a width and with the width 1/10^6.  The families are rational linear
 factors with 3- to 6-digit numerators and denominators (alone, in
 close pairs and times irreducible quadratics), roots at 0, squared
 factors, irreducible quadratics and cubics, and small random dense
@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from diffmod.poly import Polynomial, Ring
-from diffmod.realroots import isolate_real_roots, refine_interval
+from diffmod.realroots import _prepare, _refine, isolate_real_roots
 
 GOLDEN = Path(__file__).parent / "golden" / "real_roots.txt"
 R1 = Ring(("x",), "x")
@@ -101,7 +101,8 @@ def render():
         if p.degree() < 1:
             continue
         ivs = isolate_real_roots(p)
-        refined = [refine_interval(p, iv, WIDTH) for iv in ivs]
+        q2 = _prepare(p)[1]
+        refined = [iv if iv.exact else _refine(q2, iv, WIDTH) for iv in ivs]
         # the CLI's one-pass path must refine exactly as interval by interval
         assert isolate_real_roots(p, WIDTH) == refined
         lines.append("# %d %s" % (k, p.text()))

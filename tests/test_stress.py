@@ -140,7 +140,8 @@ def test_main_derivative_jet_at_a_point():
 def test_main_two_component_indicator_on_halfline():
     # L(f1, f2) = 1_{x>0} (f1 - f2): the half-line is dense enough that the
     # components must agree identically
-    from diffmod.realroots import SemialgebraicDescription, atom
+    from diffmod.realroots import SemialgebraicDescription
+    from example1 import atom
     ux = Ring.make(nx=1)
     ring = Ring.make(nx=1, ny=0, nz=1)
     st = Stratum(n=1, m=0, p=1, ring=ring,
@@ -158,7 +159,8 @@ def test_main_two_component_indicator_on_halfline():
 
 def test_main_halfline_derivative_zero_module():
     # L f = 1_{x>0} f': annihilation on an open set forces the zero module
-    from diffmod.realroots import SemialgebraicDescription, atom
+    from diffmod.realroots import SemialgebraicDescription
+    from example1 import atom
     ux = Ring.make(nx=1)
     ring = Ring.make(nx=1, ny=0, nz=1)
     st = Stratum(n=1, m=0, p=1, ring=ring,

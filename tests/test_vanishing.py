@@ -9,13 +9,14 @@ from diffmod.errors import UnsupportedInputError, WitnessSearchError
 from diffmod.groebner import buchberger, ideal, module_equal, normal_form
 from diffmod.manifest import parse_strata_manifest
 from diffmod.poly import Polynomial, Ring
-from diffmod.realroots import SemialgebraicDescription, atom, desc_and
+from diffmod.realroots import SemialgebraicDescription
 from diffmod import vanishing
 from diffmod.vanishing import (Stratum, complexify, factor_rational,
                                select_component, vanishing_ideal)
 from diffmod.quasimonic import QuasiMonic, coeff_in_var
 
 from conftest import random_polynomial
+from example1 import atom, desc_and
 
 
 def P(ring, s):
